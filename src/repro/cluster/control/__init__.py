@@ -14,8 +14,7 @@ Three threads share one cost model (:mod:`repro.cluster.control.costmodel`):
    without any per-device special cases in the router.
 3. **Predictive autoscaling** (:class:`PredictiveElasticSimulator`) —
    EWMA arrival-rate forecasting drives warm-up-cost-aware grow/shrink
-   of the pool, extending :mod:`repro.cluster.elastic`; role rebalancing
-   flips idle engines across the prefill/decode split under drift.
+   of the pool, extending :mod:`repro.cluster.elastic`.
 
 See docs/slo.md for the cost model, deadline semantics and autoscaler
 policy. The control plane is strictly opt-in: no existing simulator
@@ -27,7 +26,6 @@ from repro.cluster.control.autoscaler import (
     EwmaForecast,
     PredictiveConfig,
     PredictiveElasticSimulator,
-    rebalance_roles,
 )
 from repro.cluster.control.config import ControlConfig, SloPolicy
 from repro.cluster.control.costmodel import FleetCostModel, LatencyEstimate
@@ -52,7 +50,6 @@ __all__ = [
     "SloPolicy",
     "SloRouter",
     "install_slo_router",
-    "rebalance_roles",
     "score_requests",
     "slo_attainment",
 ]

@@ -10,10 +10,6 @@ has amortized its warm-up (a GPU released before it served for at least
 one provisioning delay paid its warm-up for nothing). Scale decisions
 emit SCALE_UP / SCALE_DOWN trace events carrying the forecast that drove
 them.
-
-:func:`rebalance_roles` is the drift corrector for disaggregated pools:
-it flips idle engines across the prefill/decode split toward whichever
-side is backlogged.
 """
 
 from __future__ import annotations
@@ -183,32 +179,3 @@ class PredictiveElasticSimulator(ElasticClusterSimulator):
                         forecast=round(forecast, 9), pool=pool,
                     )
 
-
-def rebalance_roles(scheduler, decode_backlog: int) -> "str | None":
-    """Flip one idle engine across the prefill/decode split under drift.
-
-    With handoffs backlogged and no prefill queue, an idle prefill engine
-    becomes a decode engine; with the prefill queue backlogged and no
-    decode waiters, an idle decode engine flips back. Returns the flipped
-    gpu id (or None). One flip per call keeps the correction damped — the
-    caller decides the cadence.
-    """
-    def idle_of(role: str) -> "str | None":
-        for gid in sorted(scheduler.engines):
-            e = scheduler.engines[gid]
-            if getattr(e, "role", "both") == role and e.is_idle:
-                return gid
-        return None
-
-    if decode_backlog > 0 and scheduler.queue_depth == 0:
-        gid = idle_of("prefill")
-        new_role = "decode"
-    elif scheduler.queue_depth > 0 and decode_backlog == 0:
-        gid = idle_of("decode")
-        new_role = "prefill"
-    else:
-        return None
-    if gid is None:
-        return None
-    scheduler.engines[gid].role = new_role
-    return gid

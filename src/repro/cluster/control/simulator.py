@@ -5,9 +5,8 @@ FCFS :class:`~repro.cluster.scheduler.PunicaScheduler` for an
 :class:`~repro.cluster.control.router.SloRouter` (every simulator closure
 looks the scheduler up dynamically, so the swap is safe at construction
 time) and scores SLO outcomes at run end. Run-end scoring is deliberate:
-a per-step hook would disarm the gen-2 vector decode lane
-(``_step_hook`` presence gates it), and the attainment verdict only
-needs terminal timestamps anyway.
+a per-step hook would cost a call on every engine step, and the
+attainment verdict only needs terminal timestamps anyway.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable
 
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
-from repro.runtime.serve import requests_from_trace
 from repro.workloads.trace import Trace
 
 
@@ -86,8 +85,6 @@ class ElasticClusterSimulator(ClusterSimulator):
         elastic_config: ElasticConfig | None = None,
         scheduler_config=None,
         registry=None,
-        prefetcher=None,
-        fault_injector=None,
         tracer=None,
         fast_path: bool | None = None,
     ):
@@ -99,8 +96,6 @@ class ElasticClusterSimulator(ClusterSimulator):
             initial,
             scheduler_config,
             registry=registry,
-            prefetcher=prefetcher,
-            fault_injector=fault_injector,
             tracer=tracer,
             fast_path=fast_path,
         )
@@ -115,24 +110,11 @@ class ElasticClusterSimulator(ClusterSimulator):
 
     # ------------------------------------------------------------------
     def run_elastic(self, trace: Trace, until: float | None = None) -> ElasticResult:
-        requests = requests_from_trace(trace)
-        for req in requests:
-            self._requests[req.request_id] = req
-            self.schedule_arrival(req)
-        cfg = self.scheduler.config
-        if cfg.consolidation:
-            self.loop.schedule(cfg.migration_interval, self._migration_tick)
+        requests = self._start(trace)
         self.loop.schedule(self.elastic.check_interval, self._autoscale_tick)
         end = self.loop.run(until=until)
-        base = SimulationResult(
-            duration=end,
-            metrics=self.metrics,
-            requests=requests,
-            num_migrations=self.scheduler.num_migrations,
-            events_processed=self.loop.processed,
-        )
         return ElasticResult(
-            base=base,
+            base=self._result(requests, end),
             leases=self._lease_log,
             scale_ups=self._scale_ups,
             releases=self._releases,

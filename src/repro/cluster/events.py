@@ -1,47 +1,32 @@
 """A minimal discrete-event loop.
 
-Events are ``(time, seq, action)`` triples; ``seq`` breaks ties
-deterministically in scheduling order, which keeps whole simulations
-reproducible under a fixed seed. Actions may schedule further events.
-:meth:`EventLoop.schedule` returns an :class:`EventHandle` so timers that
-become moot (a request's deadline after it finished, a retry after a
-cancel) can be disarmed instead of firing as no-ops.
+Events are ``(time, seq, action)`` triples kept in one binary heap;
+``seq`` breaks ties deterministically in scheduling order, which keeps
+whole simulations reproducible under a fixed seed. Actions may schedule
+further events. :meth:`EventLoop.schedule` returns an :class:`EventHandle`
+so timers that become moot (a request's deadline after it finished, a
+retry after a cancel) can be disarmed instead of firing as no-ops.
 
-Two queue disciplines back the loop, selected by ``fast_path``:
-
-* a binary heap (the reference discipline), and
-* a :class:`CalendarQueue` — a bucketed scheduler tuned for the dense,
-  near-monotone timestamp stream a decode-heavy simulation produces.
-
-Both implement the identical total order ``(time, seq)``; the tie-break
-contract (equal times pop in scheduling order) is part of the public
-determinism guarantee and is pinned by a property test against a heap
-oracle (``tests/test_calendar_queue.py``).
+A caller that knows up front how many events it will feed lazily (the
+simulator's trace-arrival cursor) can :meth:`~EventLoop.reserve` a
+contiguous ``seq`` band and later schedule into it: those events then
+pop exactly where they would have had they all been scheduled at
+reservation time, ahead of later-scheduled events at the same time.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import floor
-
-from repro.utils.fastpath import fastpath_enabled
 
 
 @dataclass
 class EventHandle:
-    """Disarmable reference to one scheduled event.
-
-    ``seq`` is the event's scheduling sequence number — the tie-break key
-    the queue uses for equal times. The cross-engine merge lane reads it
-    to replay the exact pop order the queue would produce.
-    """
+    """Disarmable reference to one scheduled event."""
 
     time: float
     cancelled: bool = field(default=False)
-    seq: int = field(default=-1)
 
     def cancel(self) -> None:
         """Disarm: the loop drops the event instead of running its action."""
@@ -53,159 +38,11 @@ class EventHandle:
 _Item = tuple[float, int, Callable[[float], None], EventHandle]
 
 
-class HeapQueue:
-    """The reference queue: a plain binary heap over ``(time, seq)``."""
+class EventLoop:
+    """Deterministic discrete-event executor over a ``(time, seq)`` heap."""
 
     def __init__(self) -> None:
         self._heap: list[_Item] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, item: _Item) -> None:
-        heapq.heappush(self._heap, item)
-
-    def peek(self) -> _Item | None:
-        """Smallest live item, pruning cancelled heads in passing."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def pop(self) -> _Item:
-        return heapq.heappop(self._heap)
-
-
-class CalendarQueue:
-    """A bucketed priority queue over ``(time, seq)`` keys.
-
-    Items hash into fixed-width time buckets (a dict keyed by
-    ``floor(time / width)``, so sparse regions cost nothing). Buckets
-    stay unsorted until they become the *front* bucket, at which point
-    one in-place sort orders them by ``(time, seq)`` — the same total
-    order the heap discipline uses, including the scheduling-order
-    tie-break. A small lazy min-heap over bucket *indices* finds the
-    next nonempty bucket, so heap traffic is per-bucket, not per-event:
-    in the dense-timestamp decode regime most pushes and pops are O(1)
-    appends/pointer bumps.
-
-    Late pushes into the already-sorted front bucket are placed with
-    ``bisect.insort``; their keys always land at or after the read
-    pointer because anything already consumed had a strictly smaller
-    ``(time, seq)`` key. A push into a bucket *before* the current front
-    (possible when the front sits far in the future) demotes the front
-    back into an ordinary bucket and re-resolves.
-    """
-
-    def __init__(self, bucket_width: float = 0.25) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
-        self._width = bucket_width
-        self._buckets: dict[int, list[_Item]] = {}
-        self._index_heap: list[int] = []
-        self._front: int | None = None
-        self._pos = 0
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _index(self, time: float) -> int:
-        return floor(time / self._width)
-
-    def push(self, item: _Item) -> None:
-        idx = self._index(item[0])
-        if idx == self._front:
-            # Front bucket is sorted; keep it sorted. The new key is
-            # strictly greater than every consumed key, so searching
-            # from the read pointer is safe and keeps the insert cheap.
-            insort(self._buckets[idx], item, lo=self._pos)
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [item]
-                heapq.heappush(self._index_heap, idx)
-            else:
-                bucket.append(item)
-            if self._front is not None and idx < self._front:
-                self._demote_front()
-        self._len += 1
-
-    def _demote_front(self) -> None:
-        """Return the partially-consumed front to ordinary-bucket status."""
-        bucket = self._buckets.get(self._front, [])
-        del bucket[: self._pos]
-        if bucket:
-            heapq.heappush(self._index_heap, self._front)
-        else:
-            self._buckets.pop(self._front, None)
-        self._front = None
-        self._pos = 0
-
-    def _resolve_front(self) -> bool:
-        """Sort the lowest nonempty bucket into front position."""
-        if self._front is not None:
-            return True
-        heap = self._index_heap
-        while heap:
-            idx = heap[0]
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                heapq.heappop(heap)  # stale entry for a drained bucket
-                continue
-            heapq.heappop(heap)
-            bucket.sort(key=lambda it: (it[0], it[1]))
-            self._front = idx
-            self._pos = 0
-            return True
-        return False
-
-    def peek(self) -> _Item | None:
-        """Smallest live item, pruning cancelled heads in passing."""
-        while self._resolve_front():
-            bucket = self._buckets[self._front]
-            while self._pos < len(bucket):
-                item = bucket[self._pos]
-                if not item[3].cancelled:
-                    return item
-                self._pos += 1
-                self._len -= 1
-            del self._buckets[self._front]
-            self._front = None
-            self._pos = 0
-        return None
-
-    def pop(self) -> _Item:
-        item = self.peek()
-        if item is None:
-            raise IndexError("pop from an empty CalendarQueue")
-        self._pos += 1
-        self._len -= 1
-        bucket = self._buckets[self._front]
-        if self._pos >= len(bucket):
-            del self._buckets[self._front]
-            self._front = None
-            self._pos = 0
-        return item
-
-
-class EventLoop:
-    """Deterministic discrete-event executor.
-
-    ``fast_path`` picks the queue discipline: the calendar queue when
-    enabled (the default, via ``REPRO_FASTPATH``), the reference binary
-    heap otherwise. Pop order is identical either way.
-    """
-
-    def __init__(
-        self,
-        fast_path: bool | None = None,
-        bucket_width: float = 0.25,
-    ) -> None:
-        self.fast_path = fastpath_enabled(fast_path)
-        self._queue: HeapQueue | CalendarQueue = (
-            CalendarQueue(bucket_width) if self.fast_path else HeapQueue()
-        )
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -219,19 +56,44 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def processed(self) -> int:
         return self._processed
 
-    def schedule(self, time: float, action: Callable[[float], None]) -> EventHandle:
-        """Enqueue ``action`` to run at ``time`` (must not be in the past)."""
+    def reserve(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; returns the first.
+
+        Events later scheduled with ``seq=base + i`` tie-break exactly as
+        if they had been scheduled now, in index order.
+        """
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        base = self._seq
+        self._seq += count
+        return base
+
+    def schedule(
+        self,
+        time: float,
+        action: Callable[[float], None],
+        seq: "int | None" = None,
+    ) -> EventHandle:
+        """Enqueue ``action`` to run at ``time`` (must not be in the past).
+
+        ``seq`` places the event at a number obtained from :meth:`reserve`
+        (each may be used once); by default it takes the next fresh one.
+        """
         if time < self._now - 1e-12:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        handle = EventHandle(time=time, seq=self._seq)
-        self._queue.push((time, self._seq, action, handle))
-        self._seq += 1
+        if seq is None:
+            seq = self._seq
+            self._seq += 1
+        elif not 0 <= seq < self._seq:
+            raise ValueError(f"seq {seq} was never reserved")
+        handle = EventHandle(time=time)
+        heapq.heappush(self._heap, (time, seq, action, handle))
         return handle
 
     def schedule_after(
@@ -240,6 +102,13 @@ class EventLoop:
         if delay < 0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
         return self.schedule(self._now + delay, action)
+
+    def _head(self) -> "_Item | None":
+        """Smallest live item, pruning cancelled heads in passing."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` when the queue is empty.
@@ -250,61 +119,8 @@ class EventLoop:
         fast lane compares a step's end against this: strictly earlier
         means running it inline is exactly what the loop would do next.
         """
-        item = self._queue.peek()
+        item = self._head()
         return item[0] if item is not None else None
-
-    def peek_time_excluding(self, skip_ids: "set[int]") -> float | None:
-        """Time of the next live event whose handle id is not in ``skip_ids``.
-
-        The merge lane uses this to find its horizon: the first event that
-        is *not* one of the decode ticks it is about to replay inline.
-        Skipped heads are popped and pushed back with their original
-        ``(time, seq)`` keys, so queue order is untouched; the cost is
-        O(len(skip_ids)) heap operations.
-        """
-        queue = self._queue
-        popped: list[_Item] = []
-        result: float | None = None
-        while True:
-            item = queue.peek()
-            if item is None:
-                break
-            if id(item[3]) in skip_ids:
-                popped.append(queue.pop())
-                continue
-            result = item[0]
-            break
-        for item in popped:
-            queue.push(item)
-        return result
-
-    def merge_info(self) -> "tuple[float | None, int | None, int] | None":
-        """State the merge lane needs: ``(until, budget_left, next_seq)``.
-
-        Returns ``None`` outside :meth:`run` — merged pops would then have
-        no budget to account against, so the caller must fall back to
-        scheduling real events.
-        """
-        if not self._running:
-            return None
-        budget = (
-            None
-            if self._max_events is None
-            else self._max_events - self._processed
-        )
-        return self._until, budget, self._seq
-
-    def consume_merged(self, count: int, final_time: float) -> None:
-        """Account ``count`` events replayed inline by the merge lane.
-
-        The caller has already verified every replayed pop against the
-        ``until`` horizon and the ``max_events`` budget (via
-        :meth:`merge_info`), cancelled the real events it consumed, and is
-        about to schedule their successors; this just moves the clock and
-        the processed count exactly as the queue-driven pops would have.
-        """
-        self._now = max(self._now, final_time)
-        self._processed += count
 
     def try_advance(self, time: float) -> bool:
         """Account one event processed inline at ``time`` (the fast lane).
@@ -328,41 +144,6 @@ class EventLoop:
         self._processed += 1
         return True
 
-    def try_advance_run(self, times) -> int:
-        """Bulk :meth:`try_advance`: accept a sorted run of inline ticks.
-
-        ``times`` is an ascending sequence of step-end times, all already
-        verified by the caller to precede the next queued event. Returns
-        how many lead entries fit inside the active ``until`` horizon and
-        ``max_events`` budget — the clock and processed count advance by
-        exactly that prefix, as if each tick had gone through
-        :meth:`try_advance` one by one. Returns 0 outside :meth:`run`.
-        """
-        if not self._running:
-            return 0
-        n = len(times)
-        if n and times[0] < self._now - 1e-12:
-            raise ValueError(
-                f"cannot advance to {times[0]} before now={self._now}"
-            )
-        if self._until is not None:
-            # try_advance accepts time <= until; count the prefix that does.
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if times[mid] <= self._until:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            n = lo
-        if self._max_events is not None:
-            n = min(n, self._max_events - self._processed)
-        if n <= 0:
-            return 0
-        self._now = max(self._now, float(times[n - 1]))
-        self._processed += n
-        return n
-
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Process events in time order; returns the final clock.
 
@@ -372,19 +153,19 @@ class EventLoop:
         self._until = until
         self._max_events = max_events
         self._running = True
-        queue = self._queue
+        heap = self._heap
         try:
             while True:
                 if max_events is not None and self._processed >= max_events:
                     break
-                head = queue.peek()
+                head = self._head()
                 if head is None:
                     break
                 time = head[0]
                 if until is not None and time > until:
                     self._now = until
                     return self._now
-                _, _, action, handle = queue.pop()
+                _, _, action, _ = heapq.heappop(heap)
                 self._now = time
                 action(time)
                 self._processed += 1

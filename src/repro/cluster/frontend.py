@@ -195,6 +195,10 @@ class Frontend:
         """Advance the simulated cluster until quiescent (or ``until``)."""
         return self.simulator.loop.run(until=until)
 
+    def __contains__(self, request_id: str) -> bool:
+        """Whether ``request_id`` was ever submitted (ids are single-use)."""
+        return request_id in self._handles
+
     def handle(self, request_id: str) -> RequestHandle:
         return self._handles[request_id]
 

@@ -18,18 +18,17 @@ import numpy as np
 
 from repro.adapters.registry import Tier
 from repro.obs.metrics import MetricsRegistry
-from repro.utils.fastpath import coarse_dt as _coarse_dt_env
 
 
 class TimeSeries:
     """Sparse (time, value) samples with bucketed aggregation.
 
     Storage is a pair of growable ``float64`` arrays (amortised-O(1)
-    appends, O(run) bulk :meth:`extend`) rather than Python lists — the
-    per-step recording path is hot enough in million-request runs that
-    list-of-float boxing dominated. ``times``/``values`` expose trimmed
-    array views; equality compares contents, so differential tests keep
-    their ``series_a == series_b`` shape.
+    appends) rather than Python lists — the per-step recording path is
+    hot enough in million-request runs that list-of-float boxing
+    dominated. ``times``/``values`` expose trimmed array views; equality
+    compares contents, so differential tests keep their
+    ``series_a == series_b`` shape.
     """
 
     __slots__ = ("_times", "_values", "_n")
@@ -86,23 +85,6 @@ class TimeSeries:
         self._times[idx] = t
         self._values[idx] = v
         self._n = n + 1
-
-    def extend(self, times, values) -> None:
-        """Bulk-append an already time-ordered run of samples."""
-        k = len(times)
-        if k == 0:
-            return
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if np.any(times[1:] < times[:-1]) or (
-            self._n and times[0] < self._times[self._n - 1]
-        ):
-            raise ValueError("bulk samples must be time-ordered")
-        n = self._n
-        self._grow(n + k)
-        self._times[n : n + k] = times
-        self._values[n : n + k] = values
-        self._n = n + k
 
     def __len__(self) -> int:
         return self._n
@@ -210,18 +192,8 @@ class ClusterMetrics:
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     """The unified per-run registry every record_* call also feeds (the
     tests/test_metrics_parity.py contract keeps both views exactly equal)."""
-    coarse_dt: float | None = None
-    """Coarse time-step for statistics-only runs: when > 0, bulk step
-    recordings collapse per-step series samples into ``coarse_dt``-wide
-    buckets (sums for tokens, last-value for batch size). Registry totals
-    stay exact; only series *density* changes. ``None`` reads the
-    ``REPRO_COARSE_DT`` environment switch; ``0`` forces exact sampling."""
 
     def __post_init__(self) -> None:
-        if self.coarse_dt is None:
-            self.coarse_dt = _coarse_dt_env()
-        if not self.coarse_dt or self.coarse_dt <= 0:
-            self.coarse_dt = None
         # Declare the full instrument schema up front so a snapshot of an
         # idle run still exposes every metric (at zero) rather than a
         # namespace that grows as events happen to occur.
@@ -294,107 +266,6 @@ class ClusterMetrics:
         self._tokens_counter.inc_key((), ftokens)
         self._steps_counter.inc_key(key)
         self._batch_gauge.set_key(key, fbatch)
-
-    def record_step_run(
-        self, gpu_id: str, starts: np.ndarray, tokens_per_step: int,
-        batch_size: int,
-    ) -> None:
-        """Bulk :meth:`record_step` for a steady decode run.
-
-        ``starts`` holds the K step-start times of a run in which every
-        step generated ``tokens_per_step`` tokens on a constant batch of
-        ``batch_size``. Equivalent to K ``record_step`` calls: the series
-        get the same K samples (token counts and step counts are small
-        integers, so K unit/``tokens_per_step`` float adds equal one add
-        of the product exactly), and the gauge keeps the last value.
-
-        Under :attr:`coarse_dt` the two series are downsampled: one
-        sample per dt-bucket carrying the bucket's token *sum* (so any
-        ``bucket_sum`` at resolution >= dt is unchanged) and the bucket's
-        last batch size. Registry totals are never coarsened.
-        """
-        k = len(starts)
-        if k == 0:
-            return
-        ftokens = float(tokens_per_step)
-        fbatch = float(batch_size)
-        dt = self.coarse_dt
-        if dt is None:
-            self.tokens.extend(starts, np.full(k, ftokens))
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            series.extend(starts, np.full(k, fbatch))
-        else:
-            bucket_ids = np.floor_divide(starts, dt)
-            _, first = np.unique(bucket_ids, return_index=True)
-            # Stamp each bucket's sample at the bucket's *first* step time
-            # (not the bucket start): monotone past any exact scalar
-            # sample recorded earlier in the same bucket, and still inside
-            # the bucket, so bucket_sum at resolution >= dt is unchanged.
-            bucket_times = starts[first]
-            counts = np.diff(np.append(first, k))
-            self.tokens.extend(bucket_times, counts * ftokens)
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            series.extend(bucket_times, np.full(len(first), fbatch))
-        key = (gpu_id,)
-        self._tokens_counter.inc_key((), ftokens * k)
-        self._steps_counter.inc_key(key, float(k))
-        self._batch_gauge.set_key(key, fbatch)
-
-    def record_step_merge(
-        self,
-        times: np.ndarray,
-        tokens_per_step: np.ndarray,
-        per_gpu,
-    ) -> None:
-        """Bulk :meth:`record_step` for a cross-engine merged decode run.
-
-        ``times``/``tokens_per_step`` are the pop-ordered (non-decreasing)
-        step samples across *all* merged engines — exactly the sequence of
-        ``record_step`` calls the per-event path would have made against
-        the global token series. ``per_gpu`` is an iterable of
-        ``(gpu_id, starts, batch_size)`` triples carrying each engine's
-        own (already ascending) step starts for its per-GPU series and
-        registry counters.
-
-        Under :attr:`coarse_dt` both series families are downsampled to
-        one sample per dt-bucket (token sums, last batch size); registry
-        totals are never coarsened.
-        """
-        k = len(times)
-        if k == 0:
-            return
-        dt = self.coarse_dt
-        if dt is None:
-            self.tokens.extend(times, tokens_per_step)
-        else:
-            bucket_ids = np.floor_divide(times, dt)
-            _, first = np.unique(bucket_ids, return_index=True)
-            self.tokens.extend(
-                times[first],
-                np.add.reduceat(tokens_per_step, first),
-            )
-        for gpu_id, starts, batch_size in per_gpu:
-            n = len(starts)
-            if n == 0:
-                continue
-            fbatch = float(batch_size)
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            if dt is None:
-                series.extend(starts, np.full(n, fbatch))
-            else:
-                bucket_ids = np.floor_divide(starts, dt)
-                _, first = np.unique(bucket_ids, return_index=True)
-                series.extend(starts[first], np.full(len(first), fbatch))
-            key = (gpu_id,)
-            self._tokens_counter.inc_key((), fbatch * n)
-            self._steps_counter.inc_key(key, float(n))
-            self._batch_gauge.set_key(key, fbatch)
 
     # -- adapter lifecycle ------------------------------------------------
     def record_adapter_load(self, t: float, tier: "Tier | int") -> None:

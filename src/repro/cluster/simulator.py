@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.events import EventHandle, EventLoop
+from repro.cluster.events import EventLoop
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scheduler import PunicaScheduler, SchedulerConfig
 from repro.obs.tracer import EventKind, Tracer
-from repro.cluster.vector import VectorDecodeLane
 from repro.runtime.request import Request, RequestState
 from repro.runtime.serve import requests_from_trace
 from repro.utils.fastpath import fastpath_enabled
@@ -99,7 +98,7 @@ class ClusterSimulator:
         self.scheduler = PunicaScheduler(engines, scheduler_config, prefetcher,
                                          tracer=tracer)
         self.fast_path = fastpath_enabled(fast_path)
-        self.loop = EventLoop(fast_path=self.fast_path)
+        self.loop = EventLoop()
         self.metrics = ClusterMetrics()
         self.registry = registry
         self.prefetcher = prefetcher
@@ -127,16 +126,6 @@ class ClusterSimulator:
         self._step_actions: dict[str, "object"] = {}
         """One reusable step closure per GPU — scheduling thousands of
         decode continuations must not allocate a fresh closure each."""
-        self._vector_lane = self.fast_path and tracer is None
-        """Gen-2 lane: commit whole steady decode runs through one set of
-        vectorized array ops. Requires an untraced run (the per-step lane
-        pins traced event streams byte-for-byte) and is further gated per
-        attempt on hooks and in-flight fault recoveries."""
-        self._step_handles: dict[str, EventHandle] = {}
-        """The pending step event per busy GPU. The cross-engine merge
-        lane consumes these to replay interleaved decode ticks inline;
-        entries are dropped when their event fires."""
-        self._vector = VectorDecodeLane(self)
         self.inline_steps = 0
         """Steps run inline by the batched-decode fast lane instead of
         through the heap (diagnostic only — kept out of the metrics
@@ -157,10 +146,27 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace, until: float | None = None) -> SimulationResult:
+        requests = self._start(trace)
+        end = self.loop.run(until=until)
+        self._drain_adapter_events()
+        return self._result(requests, end)
+
+    def _start(self, trace: Trace) -> "list[Request]":
+        """Arm a run: the trace-arrival cursor, then the periodic timers.
+
+        The cursor reserves one ``seq`` per trace request *before* any
+        timer is scheduled, so every arrival tie-breaks ahead of the
+        same-time step, tick and retry events scheduled after run start
+        (the order the golden traces pin), while only one trace arrival
+        is ever pending on the loop.
+        """
         requests = requests_from_trace(trace)
         for req in requests:
             self._requests[req.request_id] = req
-            self.schedule_arrival(req)
+        self._pending_arrivals += len(requests)
+        if requests:
+            base = self.loop.reserve(len(requests))
+            self._feed_arrival(requests, base, 0)
         cfg = self.scheduler.config
         if cfg.consolidation:
             self.loop.schedule(cfg.migration_interval, self._migration_tick)
@@ -168,8 +174,22 @@ class ClusterSimulator:
             self.loop.schedule(0.0, self._prefetch_tick)
         if self.fault_injector is not None:
             self.fault_injector.arm(self.loop, self._apply_fault)
-        end = self.loop.run(until=until)
-        self._drain_adapter_events()
+        return requests
+
+    def _feed_arrival(self, requests: "list[Request]", base: int, i: int) -> None:
+        """Put trace arrival ``i`` on the loop under its reserved seq; when
+        it fires it first feeds arrival ``i + 1``, so the next arrival is
+        always visible to :meth:`EventLoop.peek_time`."""
+        arrive = self._make_arrival(requests[i])
+
+        def cursor(now: float) -> None:
+            if i + 1 < len(requests):
+                self._feed_arrival(requests, base, i + 1)
+            arrive(now)
+
+        self.loop.schedule(requests[i].spec.arrival_time, cursor, seq=base + i)
+
+    def _result(self, requests: "list[Request]", end: float) -> SimulationResult:
         return SimulationResult(
             duration=end,
             metrics=self.metrics,
@@ -286,9 +306,7 @@ class ClusterSimulator:
         if engine.is_idle:
             return
         self._gpu_busy[gpu_id] = True
-        self._step_handles[gpu_id] = self.loop.schedule(
-            now, self._step_action(gpu_id)
-        )
+        self.loop.schedule(now, self._step_action(gpu_id))
 
     def _step_action(self, gpu_id: str):
         """The cached step closure for one GPU (see ``_step_actions``)."""
@@ -299,7 +317,6 @@ class ClusterSimulator:
 
     def _make_step(self, gpu_id: str):
         def step(now: float) -> None:
-            self._step_handles.pop(gpu_id, None)
             while True:
                 engine = self.scheduler.engines.get(gpu_id)
                 if engine is None or not getattr(engine, "alive", True):
@@ -307,23 +324,6 @@ class ClusterSimulator:
                     # was armed; its requests were already re-placed.
                     self._gpu_busy.pop(gpu_id, None)
                     return
-                # Window-start merge: this tick is already paid for (its
-                # event just fired, or the gen-1 continuation advanced to
-                # it), and when other engines' decode ticks interleave
-                # with ours the merge lane replays the whole window in
-                # pop order instead of stepping scalar, one event each.
-                if (
-                    self._vector_lane
-                    and self._step_handles
-                    and self._step_hook is None
-                    and not self._recovering
-                    and engine.fast_path
-                    and engine.steady_ready()
-                ):
-                    merged = self._vector.try_merge(gpu_id, engine, now, entry=True)
-                    if merged:
-                        self.inline_steps += merged
-                        return
                 report = engine.step(now)
                 if report is None:
                     # Blocked on an in-flight LoRA load: wake when it lands.
@@ -331,7 +331,7 @@ class ClusterSimulator:
                     wake = engine.next_ready_time()
                     if wake is not None and not engine.is_idle:
                         self._gpu_busy[gpu_id] = True
-                        self._step_handles[gpu_id] = self.loop.schedule(
+                        self.loop.schedule(
                             max(wake, now), self._step_action(gpu_id)
                         )
                     return
@@ -366,59 +366,15 @@ class ClusterSimulator:
                 # fault, kick or migration tick lands in the queue first and
                 # forces the general path, so coalescing cannot reorder
                 # cross-cutting events.
-                peek = self.loop.peek_time()
                 if self.fast_path:
-                    # Gen-2 vectorized lanes: when the engine is armed for
-                    # steady decode, price a whole run of future steps in
-                    # one set of array ops and commit however many the
-                    # event window and loop budget admit. Each committed
-                    # step is identical to a single inline steady step —
-                    # the run is capped so no finish, eviction or
-                    # headroom fallback can occur inside it — so this
-                    # only changes how many Python iterations the same
-                    # simulation takes. Hooked (disaggregated) and
-                    # mid-recovery simulations keep the per-step lane:
-                    # their bookkeeping observes individual steps.
-                    vector_ok = (
-                        self._vector_lane
-                        and self._step_hook is None
-                        and not self._recovering
-                        and engine.fast_path
-                    )
-                    if peek is None or end < peek:
-                        if vector_ok:
-                            starts = engine.steady_run_candidate(end, peek)
-                            if starts is not None:
-                                n = self.loop.try_advance_run(starts)
-                                if n:
-                                    end, batch = engine.commit_steady_run(n)
-                                    self.metrics.record_step_run(
-                                        gpu_id, starts[:n], batch, batch
-                                    )
-                                    self.inline_steps += n
-                                    peek = self.loop.peek_time()
-                        if (
-                            peek is None or end < peek
-                        ) and self.loop.try_advance(end):
-                            self.inline_steps += 1
-                            if self._recovering:
-                                self._check_recoveries(end)
-                            now = end
-                            continue
-                    elif vector_ok:
-                        # Dense regime: another engine's decode tick is
-                        # due before this one's, so the single-engine
-                        # window is empty. Replay the interleaved ticks
-                        # of every steady engine through the merge lane;
-                        # on success all successor events (this engine's
-                        # included) are scheduled and this action is done.
-                        merged = self._vector.try_merge(gpu_id, engine, end)
-                        if merged:
-                            self.inline_steps += merged
-                            return
-                self._step_handles[gpu_id] = self.loop.schedule(
-                    end, self._step_action(gpu_id)
-                )
+                    peek = self.loop.peek_time()
+                    if (peek is None or end < peek) and self.loop.try_advance(end):
+                        self.inline_steps += 1
+                        if self._recovering:
+                            self._check_recoveries(end)
+                        now = end
+                        continue
+                self.loop.schedule(end, self._step_action(gpu_id))
                 if self._recovering:
                     self._check_recoveries(end)
                 return

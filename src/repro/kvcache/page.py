@@ -165,41 +165,6 @@ class PageAllocator:
                     )
                 pages[sid].append(free.pop())
 
-    def append_tokens_run(self, seq_ids, count: int) -> None:
-        """``count`` rounds of :meth:`append_tokens` applied in one call.
-
-        The vectorized steady-decode lane commits a whole run of decode
-        steps at once; each round appends one token per sequence in
-        ``seq_ids`` order. Page allocations replay in exact (round,
-        sequence-position) order, so the LIFO free list hands every
-        sequence the same page ids the per-round calls would — the
-        allocator's observable state is bit-identical. The caller
-        guarantees ``free_pages`` covers the worst case (one page per
-        sequence per round is never needed; the lane's cap is
-        ``free_pages // len(seq_ids)`` rounds, which more than covers the
-        one-page-per-``page_size``-rounds actual demand).
-        """
-        seq_len = self._seq_len
-        pages = self._pages
-        free = self._free
-        page_size = self.page_size
-        allocs: list[tuple[int, int, str]] = []
-        for pos, sid in enumerate(seq_ids):
-            cur = seq_len[sid]
-            # Rounds k in [0, count) with (cur + k) % page_size == 0 open
-            # a fresh page, exactly as the per-round loop would.
-            for k in range((-cur) % page_size, count, page_size):
-                allocs.append((k, pos, sid))
-            seq_len[sid] = cur + count
-        if len(allocs) > len(free):
-            raise MemoryError(
-                f"bulk append needs {len(allocs)} pages but only "
-                f"{len(free)} free"
-            )
-        allocs.sort()
-        for _, _, sid in allocs:
-            pages[sid].append(free.pop())
-
     def truncate(self, seq_id: str, new_len: int) -> int:
         """Shrink a sequence to ``new_len`` tokens; returns pages released.
 

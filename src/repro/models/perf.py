@@ -360,8 +360,8 @@ def step_latency_steady_run(
     counterparts, and the KV totals are exact integers — so
     ``step_latency_steady_run(...)[k] == step_latency_steady(...,
     total_kv + k * increment)`` bit for bit. One array expression per
-    run replaces ``count`` Python-level evaluations; the engine's
-    vectorized decode lane is the only caller.
+    run replaces ``count`` Python-level evaluations. Nothing in the
+    simulator calls it; ``perfbench/spans.py`` still wraps it by name.
     """
     totals = (
         np.arange(count, dtype=np.int64) * increment + total_kv

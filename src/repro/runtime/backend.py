@@ -35,7 +35,7 @@ from repro.models.perf import (
     spec_round_latency,
     step_latency_from_terms,
     step_latency_steady,
-    step_latency_steady_run,
+    step_latency_steady_run,  # noqa: F401 -- wrapped by name in perfbench/spans.py
     step_latency_terms,
 )
 from repro.models.tp import SINGLE_GPU, TensorParallelConfig
@@ -388,45 +388,6 @@ class SimulatedBackend:
         self._token_counter = counter
         return StepExecution(latency=latency + self.step_overhead, tokens=tokens)
 
-    def steady_run_latencies(self, plan: BatchPlan, total_kv: int, count: int):
-        """Per-step latencies for a ``count``-step steady decode run.
-
-        Step ``k`` prices exactly like :meth:`execute_steady` with
-        ``total_kv + k * batch`` (every decode request adds one KV token
-        per step), overhead included — see
-        :func:`~repro.models.perf.step_latency_steady_run` for the
-        bit-identity argument. Returns ``None`` until the plan's latency
-        terms exist (the first steady step builds them); the vectorized
-        lane then retries on the next step.
-        """
-        cached = plan.derived.get(self._terms_key)
-        if cached is None:
-            return None
-        batch = len(plan.derived["workload"][1])
-        return (
-            step_latency_steady_run(
-                self.config, self.cost_model, cached[0], total_kv, batch, count
-            )
-            + self.step_overhead
-        )
-
-    def commit_steady_run(self, request_ids, count: int) -> int:
-        """Apply ``count`` steady steps' KvCache and token effects in bulk.
-
-        ``request_ids`` iterates in the same order the per-step
-        :meth:`kv_append_many` call would (the steady lane's past-length
-        dict), so page assignment replays exactly. Returns the token
-        counter value *before* the run: step ``k``'s token for the
-        request at workload position ``p`` is ``base + k * batch + p + 1``,
-        matching ``count`` :meth:`execute_steady` calls. Only valid
-        without a unified pool (the lane gates on ``backend.pool is
-        None``).
-        """
-        self.kv.allocator.append_tokens_run(request_ids, count)
-        base = self._token_counter
-        self._token_counter = base + count * len(request_ids)
-        return base
-
     def _terms_for(self, work: StepWorkload):
         """Memoized :func:`step_latency_terms` for one invocation shape.
 
@@ -498,22 +459,6 @@ class SimulatedBackend:
             )
             self._terms_memo[key] = terms
         return terms
-
-    def build_steady_terms(
-        self, plan: BatchPlan, past_lens: Mapping[str, int]
-    ) -> None:
-        """Build the latency-term cache ahead of the first steady step.
-
-        The vectorized lane calls this when :meth:`steady_run_latencies`
-        would miss; the terms are exactly what the first
-        :meth:`execute_steady` for this plan would build (``past_lens``
-        is the engine's arm-time snapshot in both cases), so building
-        them early is unobservable.
-        """
-        if plan.derived.get(self._terms_key) is None:
-            terms = self._terms_for_plan(plan, past_lens)
-            decode_ids = plan.derived["workload"][1]
-            plan.derived[self._terms_key] = (terms, decode_ids)
 
     def _fast_latency(self, plan: BatchPlan, past_lens: Mapping[str, int]) -> float:
         """Step latency via the per-plan invariant-term cache.

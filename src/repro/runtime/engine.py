@@ -22,7 +22,6 @@ import heapq
 import random
 from dataclasses import dataclass
 
-import numpy as np
 
 from repro.core.batch import (
     BatchEntry,
@@ -184,21 +183,6 @@ class GpuEngine:
         self._steady_past: dict[str, int] = {}
         self._steady_total = 0
         self._steady_rem: "list[int] | None" = None
-        self._staged_run: "tuple[np.ndarray, int] | None" = None
-        """(step-end times, batch size) priced by :meth:`steady_run_candidate`
-        and awaiting :meth:`commit_steady_run` within the same event."""
-        self._steady_first: "tuple[object, float] | None" = None
-        """(plan, first-step latency) probe cache — the run-length
-        *estimate* in :meth:`steady_run_stage` tolerates the slow
-        within-plan latency drift, so one probe per plan suffices."""
-        self._steady_lats: "tuple[object, int, float, np.ndarray] | None" = None
-        """(plan, base KV total, slowdown, step-end array) staging cache. Step
-        ``k`` of a run from total ``T`` prices with ``T + k * batch`` and
-        the ends chain sequentially, so the array built from ``T``
-        *contains* — bit for bit — every run from ``T + n * batch``:
-        later stagings slice at offset ``n`` instead of re-pricing.
-        Keyed by plan identity; a membership change produces a different
-        plan object and misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id — entries are
         immutable, so each request's is built once and reused across
@@ -857,186 +841,6 @@ class GpuEngine:
             finished=tuple(finished),
             evicted=(),
         )
-
-    # -- vectorized steady runs (gen-2 fast path) ----------------------
-    _MAX_RUN = 8192
-    """Upper bound on one vectorized run; bounds the priced-but-unused
-    tail when the estimate overshoots the event window."""
-
-    def steady_run_stage(
-        self,
-        start: float,
-        horizon: "float | None",
-        min_steps: int = 2,
-    ) -> "tuple[np.ndarray, int] | None":
-        """Price a vectorized run of steady decode steps starting at ``start``.
-
-        Stages and returns ``(ends, batch)`` where ``ends[0] == start``
-        and ``ends[k]`` is the end of step ``k`` — so ``ends[:-1]`` are
-        the step start times and ``len(ends) - 1`` steps are available.
-        Returns ``None`` when fewer than ``min_steps`` steps are
-        possible. The run is capped so that, by construction, no step
-        inside it could deviate from the single-step steady lane: every
-        request has at least one countdown tick left *after* the run (no
-        finishes), and worst-case page consumption keeps KvCache headroom
-        at one page per request before every step (the general-path
-        fallback can never trigger). Call :meth:`commit_steady_run` to
-        apply a prefix. Requires the length-limit countdown
-        (``_steady_rem``) and no tracer — traced runs take the per-step
-        lane, whose event stream is pinned byte-for-byte.
-        """
-        rem = self._steady_rem
-        backend = self.backend
-        if (
-            rem is None
-            or self._steady_plan is None
-            or self._pending
-            or self.tracer is not None
-            or getattr(backend, "pool", True) is not None
-        ):
-            return None
-        batch = len(self._steady_pairs)
-        rem_cap = min(rem) - 1
-        cap = rem_cap
-        if cap >= min_steps:
-            cap = min(cap, backend.kv_headroom_pages() // batch)
-        if cap < min_steps:
-            return None
-        plan = self._steady_plan
-        total = self._steady_total
-        cached_first = self._steady_first
-        if cached_first is not None and cached_first[0] is plan:
-            first_raw = cached_first[1]
-        else:
-            probe = backend.steady_run_latencies(plan, total, 1)
-            if probe is None:
-                build = getattr(backend, "build_steady_terms", None)
-                if build is None:
-                    return None
-                build(plan, self._steady_past)
-                probe = backend.steady_run_latencies(plan, total, 1)
-                if probe is None:
-                    return None
-            first_raw = float(probe[0])
-            self._steady_first = (plan, first_raw)
-        slowdown = self.slowdown_factor
-        first = first_raw * slowdown
-        if horizon is not None:
-            window = horizon - start
-            if window <= 0:
-                return None
-            # Latencies grow with KV, so first-step latency bounds the
-            # step count from above; +2 absorbs float slack.
-            cap = min(cap, int(window / first) + 2)
-            if cap < min_steps:
-                return None
-        count = min(cap, self._MAX_RUN)
-        # The run from (T + n*batch, start') is an offset slice of the
-        # run staged earlier from (T, start): pricing is elementwise in
-        # the exact integer KV totals, and cumsum chains ends
-        # sequentially, so when start' == ends[n] (which it is — commits
-        # walk the staged chain) the later ends ARE ends[n:], bit for
-        # bit. Only a cache miss pays the array build, sized to the
-        # finish/headroom cap so window growth cannot force a rebuild
-        # (overshoot is pure pricing, commits stay capped separately).
-        cached = self._steady_lats
-        if cached is not None and cached[0] is plan and cached[2] == slowdown:
-            off = total - cached[1]
-            if off >= 0 and off % batch == 0:
-                off //= batch
-                ends_full = cached[3]
-                if off + count < len(ends_full) and ends_full[off] == start:
-                    self._staged_run = (ends_full[off:off + count + 1], batch)
-                    return self._staged_run
-        # Build to the finish cap, not the (tighter) headroom cap: the
-        # headroom bound shrinks slower than the commit offset advances
-        # (a decode append only consumes a page at page boundaries), so a
-        # headroom-sized array would fall short of later slices and force
-        # a rebuild per merge. Pricing past headroom is harmless — the
-        # *returned* slice below stays capped at ``cap``.
-        lats = backend.steady_run_latencies(
-            plan, total, min(rem_cap, self._MAX_RUN)
-        )
-        if slowdown != 1.0:
-            lats = lats * slowdown
-        # ends[k] = end of step k, chained exactly like the scalar
-        # now + latency accumulation (cumsum adds sequentially).
-        ends_full = np.cumsum(np.concatenate(((start,), lats)))
-        self._steady_lats = (plan, total, slowdown, ends_full)
-        self._staged_run = (ends_full[:count + 1], batch)
-        return self._staged_run
-
-    def steady_ready(self) -> bool:
-        """Cheap pre-gate: is the next step a pure steady decode tick?
-
-        The cross-engine merge lane calls this before paying for
-        :meth:`steady_run_stage`'s array pricing; engines that fail it
-        keep their queued step event, which then bounds the merge horizon.
-        """
-        return (
-            self._steady_rem is not None
-            and self._steady_plan is not None
-            and not self._pending
-            and self.tracer is None
-        )
-
-    def steady_run_candidate(self, now: float, peek: "float | None"):
-        """Single-engine wrapper over :meth:`steady_run_stage`.
-
-        Returns the ascending array of step *start* times strictly before
-        ``peek`` (the clock advances the simulator must pay for), or
-        ``None`` when no multi-step run fits the window.
-        """
-        staged = self.steady_run_stage(now, peek)
-        if staged is None:
-            return None
-        ends, _batch = staged
-        starts = ends[:-1]
-        if peek is not None:
-            n = int(np.searchsorted(starts, peek, side="left"))
-            if n < len(starts):
-                starts = starts[:n]
-        if len(starts) == 0:
-            self._staged_run = None
-            return None
-        return starts
-
-    def commit_steady_run(self, n: int) -> "tuple[float, int]":
-        """Apply the first ``n`` steps of the staged run in bulk.
-
-        Replays exactly what ``n`` :meth:`_step_steady` calls would do —
-        KvCache appends (page ids included), token values, per-request
-        countdowns, loader clock, total-KV counter — without the
-        per-step Python work. Returns ``(end_of_last_step, batch_size)``:
-        the next step of this engine is due at that end time.
-        """
-        ends, batch = self._staged_run
-        self._staged_run = None
-        plan = self._steady_plan
-        pairs = self._steady_pairs
-        # Reference steps call loader.advance(step start) each step;
-        # advance is a monotone clock max, so the last start subsumes
-        # the sequence.
-        self.loader.advance(float(ends[n - 1]))
-        base = self.backend.commit_steady_run(self._steady_past, n)
-        derived = plan.derived
-        pos = derived.get("steady_pos")
-        if pos is None:
-            pos = derived["steady_pos"] = {
-                rid: p for p, rid in enumerate(derived["workload"][1])
-            }
-        rem = self._steady_rem
-        span = n * batch
-        for i, (req, rid) in enumerate(pairs):
-            first_token = base + pos[rid] + 1
-            req.kv_len += n
-            req.generated_tokens.extend(
-                range(first_token, first_token + span, batch)
-            )
-            rem[i] -= n
-        self._steady_total += span
-        self.fast_steps += n
-        return float(ends[n]), batch
 
     def _refresh_steady(self) -> None:
         """(Re)arm the steady-state cache after a step, when the *next*

@@ -288,6 +288,9 @@ class FunctionalBridge:
     # ------------------------------------------------------------------
     def open(self, op: GenerateOp) -> "tuple[str, asyncio.Queue | None, Decision]":
         rid = op.request_id or f"fn-{next(self._ids):05d}"
+        if rid in self._streams:
+            # Only live ids are taken here; a finished id may be reused.
+            return rid, None, Decision.DUPLICATE
         now = self._clock
         if self.metrics is not None:
             self.metrics.record_connect(op.effective_tenant)

@@ -95,8 +95,14 @@ class ServeGateway:
         ``now`` (virtual clock) and an :class:`OpenStream` tracks it until
         :meth:`finalize`. On any other decision the connection is traced
         CONNECT -> SHED -> DISCONNECT and nothing reaches the scheduler.
+        A ``request_id`` the frontend already holds is refused with
+        :attr:`Decision.DUPLICATE` before admission, leaving the live
+        stream, the controller and the trace untouched. The frontend keeps
+        every handle, so ids are single-use: a finished id is refused too.
         """
         rid = request_id or f"sv-{next(self._conn_ids):05d}"
+        if rid in self.frontend:
+            return None, Decision.DUPLICATE
         user_on_token = on_token
         if self.tracer is not None:
             self.tracer.emit(now, EventKind.CONNECT, conn=rid, tenant=tenant)

@@ -37,6 +37,12 @@ class Decision(enum.Enum):
     """The tenant's bounded in-flight queue is at capacity."""
     OVERLOADED = "overloaded"
     """The server-wide in-flight bound is hit (tenant-agnostic shed)."""
+    DUPLICATE = "duplicate_id"
+    """The request id is already taken on the backend. Decided by the
+    gateway or bridge before the controller is asked, so it costs no
+    slot; the server answers 409. The simulator stack's ids are single-use
+    (the frontend keeps every handle, so a finished id stays taken); the
+    functional bridge refuses only an id whose stream is still live."""
 
     @property
     def admitted(self) -> bool:

@@ -6,7 +6,8 @@
 :class:`~repro.serve.bridge.FunctionalBridge`):
 
 * a :class:`~repro.serve.protocol.GenerateOp` is admitted (or shed with a
-  429 :class:`~repro.serve.protocol.ErrorFrame`); admitted streams get an
+  429 :class:`~repro.serve.protocol.ErrorFrame`, or refused with a 409 when
+  its request id is already taken); admitted streams get an
   :class:`~repro.serve.protocol.AcceptedFrame` and then token frames as
   the backend produces them, each connection multiplexing any number of
   concurrent streams by request id;
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.serve.limits import Decision
 from repro.serve.protocol import (
     AcceptedFrame,
     CancelOp,
@@ -145,7 +147,9 @@ class ServeServer:
         rid, queue, decision = self.bridge.open(op)
         if queue is None:
             await self._send(writer, lock, ErrorFrame(
-                request_id=rid, code=429, reason=decision.value,
+                request_id=rid,
+                code=409 if decision is Decision.DUPLICATE else 429,
+                reason=decision.value,
             ))
             return
         await self._send(writer, lock, AcceptedFrame(request_id=rid))

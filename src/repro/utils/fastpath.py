@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 
 ENV_VAR = "REPRO_FASTPATH"
-COARSE_DT_ENV = "REPRO_COARSE_DT"
 
 
 def fastpath_enabled(override: "bool | None" = None) -> bool:
@@ -36,25 +35,3 @@ def fastpath_enabled(override: "bool | None" = None) -> bool:
         return env not in ("", "0")
     return True
 
-
-def coarse_dt(override: "float | None" = None) -> "float | None":
-    """Resolve the opt-in coarse time-step (``REPRO_COARSE_DT``).
-
-    Returns the coarse metrics-sampling interval in simulated seconds,
-    or ``None`` for exact per-step sampling (the default). Coarse mode
-    is statistics-only: request evolution and registry totals stay
-    exact; only metric *series* density changes (docs/performance.md).
-    A non-positive value — explicit or from the environment — means off.
-    """
-    dt = override
-    if dt is None:
-        raw = os.environ.get(COARSE_DT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            dt = float(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{COARSE_DT_ENV} must be a number of seconds, got {raw!r}"
-            ) from exc
-    return dt if dt > 0 else None

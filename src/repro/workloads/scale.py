@@ -2,11 +2,11 @@
 
 :func:`~repro.workloads.trace.generate_trace` builds specs one at a time
 through scalar RNG draws — fine for the thousands of requests the figure
-benches need, painful for the million-request scale-out runs the gen-2
-fast path targets. This module generates the same *kind* of workload
-(trapezoid-ramp Poisson arrivals, Zipf-popular LoRA models) with bulk
-array ops so trace construction stays a small fraction of simulation
-wall-clock even at 10^6 requests.
+benches need, painful for the million-request scale-out runs. This
+module generates the same *kind* of workload (trapezoid-ramp Poisson
+arrivals, Zipf-popular LoRA models) with bulk array ops so trace
+construction stays a small fraction of simulation wall-clock even at
+10^6 requests.
 
 Two deliberate departures from the figure-13 generator keep scale runs
 bounded:

@@ -22,7 +22,6 @@ from repro.cluster.control import (
     SloPolicy,
     SloRouter,
     install_slo_router,
-    rebalance_roles,
     score_requests,
     slo_attainment,
 )
@@ -345,36 +344,6 @@ class TestPredictiveAutoscaler:
         r2 = self._sim().run_elastic(make_trace(seed=3, rate=12.0))
         assert r1.gpu_seconds() == r2.gpu_seconds()
         assert r1.scale_ups == r2.scale_ups
-
-
-class TestRebalanceRoles:
-    def _scheduler(self, roles, idle=True, queue_depth=0):
-        engines = {
-            gid: types.SimpleNamespace(role=role, is_idle=idle)
-            for gid, role in roles.items()
-        }
-        return types.SimpleNamespace(engines=engines, queue_depth=queue_depth)
-
-    def test_flips_idle_prefill_toward_decode_backlog(self):
-        sched = self._scheduler({"p0": "prefill", "d0": "decode"})
-        assert rebalance_roles(sched, decode_backlog=3) == "p0"
-        assert sched.engines["p0"].role == "decode"
-
-    def test_flips_idle_decode_toward_prefill_backlog(self):
-        sched = self._scheduler(
-            {"p0": "prefill", "d0": "decode"}, queue_depth=2
-        )
-        assert rebalance_roles(sched, decode_backlog=0) == "d0"
-        assert sched.engines["d0"].role == "prefill"
-
-    def test_no_flip_when_both_sides_backlogged_or_busy(self):
-        both = self._scheduler(
-            {"p0": "prefill", "d0": "decode"}, queue_depth=2
-        )
-        assert rebalance_roles(both, decode_backlog=2) is None
-        busy = self._scheduler({"p0": "prefill"}, idle=False)
-        assert rebalance_roles(busy, decode_backlog=3) is None
-        assert busy.engines["p0"].role == "prefill"
 
 
 class TestSloDisagg:

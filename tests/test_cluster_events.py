@@ -76,3 +76,32 @@ class TestEventLoop:
         loop.run(max_events=4)
         assert len(fired) == 4
         assert loop.processed == 4
+
+    def test_reserved_band_pops_ahead_of_later_same_time_events(self):
+        """Events scheduled into a reserved seq band pop in (time, seq)
+        order ahead of same-time events scheduled after the reservation,
+        even when they are scheduled later (from inside an action)."""
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda t: fired.append("before"))
+        base = loop.reserve(3)
+        loop.schedule(1.0, lambda t: fired.append("late-1.0"))
+        loop.schedule(2.0, lambda t: fired.append("late-2.0"))
+
+        def band_0(t):
+            fired.append("band-0")
+            # Fed lazily, like the simulator's arrival cursor.
+            loop.schedule(2.0, lambda u: fired.append("band-2"), seq=base + 2)
+
+        loop.schedule(1.0, lambda t: fired.append("band-1"), seq=base + 1)
+        loop.schedule(1.0, band_0, seq=base)
+        loop.run()
+        assert fired == [
+            "before", "band-0", "band-1", "late-1.0", "band-2", "late-2.0",
+        ]
+
+    def test_unreserved_seq_rejected(self):
+        loop = EventLoop()
+        base = loop.reserve(2)
+        with pytest.raises(ValueError):
+            loop.schedule(1.0, lambda t: None, seq=base + 2)

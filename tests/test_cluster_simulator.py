@@ -127,3 +127,59 @@ class TestClusterSimulation:
         result = sim.run(trace)
         assert result.finished_requests == len(trace)
         assert sim.scheduler.num_queued_total > 0
+
+
+class TestArrivalCursor:
+    def test_pending_events_stay_bounded(self):
+        """Trace arrivals are fed one at a time: the loop never holds more
+        than one step per GPU, the periodic timers and one arrival."""
+        trace = generate_trace(
+            3000, "skewed", seed=4,
+            lengths=ShareGptLengths(max_prompt_len=32, max_response_len=16),
+            arrivals=PoissonArrivals(rate=constant_rate(200.0), duration=15.0),
+        )
+        assert len(trace) > 2000
+        sim = ClusterSimulator(make_engines(4))
+        timers = 1  # the consolidation tick; no prefetcher, no faults
+        peak = 0
+        schedule = sim.loop.schedule
+
+        def watched(*args, **kwargs):
+            nonlocal peak
+            handle = schedule(*args, **kwargs)
+            peak = max(peak, sim.loop.pending)
+            return handle
+
+        sim.loop.schedule = watched
+        result = sim.run(trace)
+        assert result.finished_requests == len(trace)
+        assert 0 < peak <= 4 + timers + 1
+
+    def test_run_until_then_resume_matches_uninterrupted_run(self):
+        trace = small_trace(n=40, rate=6.0, duration=10.0, seed=3)
+
+        def states(requests):
+            return [
+                (r.request_id, r.state, r.num_generated, r.first_token_time,
+                 r.finish_time, r.num_migrations)
+                for r in requests
+            ]
+
+        whole = ClusterSimulator(make_engines(2))
+        full = whole.run(trace)
+
+        split = ClusterSimulator(make_engines(2))
+        partial = split.run(trace, until=trace.duration / 2)
+        assert any(not r.state.is_terminal for r in partial.requests)
+        split.loop.run()
+        split._drain_adapter_events()
+
+        assert states(partial.requests) == states(full.requests)
+        assert split.loop.now == whole.loop.now
+        assert split.loop.processed == whole.loop.processed
+        assert split.metrics.tokens == whole.metrics.tokens
+        assert split.metrics.arrivals == whole.metrics.arrivals
+        assert split.metrics.gpu_batch_size == whole.metrics.gpu_batch_size
+        assert (
+            split.metrics.registry.to_json() == whole.metrics.registry.to_json()
+        )

@@ -230,13 +230,12 @@ def test_random_workload_differential(
 
 
 # ---------------------------------------------------------------------------
-# Composed untraced workloads: the cross-engine vector lane under load
+# Composed untraced workloads: the fast lanes under load
 # ---------------------------------------------------------------------------
-# A Tracer pins per-step event streams, which (by design) disarms the
-# gen-2 cross-engine merge lane — so the traced suite above never covers
-# it. These runs go untraced and compare everything that remains
-# observable: terminal request state, the unified metrics registry, the
-# metrics time-series, and the summary tuple. Workloads *compose* the
+# These runs go untraced — the path the benches and scale runs take — and
+# compare everything that remains observable without a trace: terminal
+# request state, the unified metrics registry, the metrics time-series,
+# and the summary tuple. Workloads *compose* the
 # features the per-feature suites cover in isolation: disagg pools,
 # scripted faults, cancellation storms, and the serve gateway's
 # admission + disconnect path.
@@ -368,8 +367,7 @@ def _build_composed(
         return requests, sim.metrics, summary, sim
 
     # Direct cancellation storm: same mechanism as the traced suite, but
-    # storm-sized, and racing the vector merge lane instead of the
-    # per-step one.
+    # storm-sized.
     for idx, delay in storm_picks:
         spec = trace.requests[idx % len(trace.requests)]
 
@@ -432,8 +430,8 @@ def test_composed_untraced_differential(
     lora_rank, storm_picks, fault_subset, spec,
 ):
     """Disagg pools x faults x cancellation storms x serve admission,
-    untraced so the cross-engine vector merge lane is armed: both paths
-    must agree on every observable the run leaves behind."""
+    untraced: both paths must agree on every observable the run leaves
+    behind."""
     fault_plan = [_FAULT_MENU[i] for i in sorted(fault_subset)]
     if num_gpus <= 2:
         # Disagg's decode pool (or a 2-GPU cluster) may not survive a
@@ -452,30 +450,6 @@ def test_composed_untraced_differential(
     fast = _build_composed(fast_path=True, **kwargs)
     ref = _build_composed(fast_path=False, **kwargs)
     _assert_composed_equivalent(fast, ref)
-
-
-def test_vector_merge_lane_engages_untraced():
-    """The canary for the composed suite: an untraced decode-heavy
-    multi-GPU run must actually commit cross-engine merges — otherwise
-    the suite above is comparing the per-step lane to itself."""
-    trace = generate_trace(
-        60, "skewed", seed=5,
-        lengths=ShareGptLengths(max_prompt_len=32, max_response_len=24),
-        arrivals=PoissonArrivals(rate=constant_rate(12.0), duration=5.0),
-    )
-    engines = [
-        GpuEngine(
-            f"gpu{i:02d}",
-            SimulatedBackend(LLAMA2_7B, fast_path=True),
-            EngineConfig(max_batch_size=8),
-            fast_path=True,
-        )
-        for i in range(2)
-    ]
-    sim = ClusterSimulator(engines, fast_path=True)
-    sim.run(trace)
-    assert sim._vector.merges > 0
-    assert sim._vector.merged_steps > sim._vector.merges
 
 
 # ---------------------------------------------------------------------------

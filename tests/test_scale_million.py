@@ -3,8 +3,8 @@
 Tier-1 excludes this module via the default ``-m "not scale"`` addopts;
 the CI ``scale`` job opts back in with ``-m scale``. The run asserts the
 things that only show up at scale: terminal-state accounting over 10^6
-requests, monotonic event-loop time through millions of calendar-queue
-pops, and a wall budget extrapolated from the smoke row's throughput
+requests, monotonic event-loop time through millions of event pops,
+and a wall budget extrapolated from the smoke row's throughput
 floor.
 """
 
@@ -39,8 +39,8 @@ def test_million_request_run_within_budget():
     assert result.duration >= trace.duration
 
     # The event-throughput floor the smoke row enforces must hold at full
-    # scale too — the calendar queue exists so the queue does not become
-    # superlinear in pending-event count.
+    # scale too — the arrival cursor keeps the pending set at O(GPUs +
+    # timers), so event cost does not grow with the trace length.
     floor = DEFAULT_THRESHOLDS["budgets"]["fig13_1m"]["min_events_per_s"]
     events_per_s = result.events_processed / wall
     assert events_per_s >= floor, (

@@ -283,3 +283,119 @@ class TestServerProtocolErrors:
         bad, missing = run(scenario())
         assert isinstance(bad, ErrorFrame) and bad.code == 400
         assert isinstance(missing, ErrorFrame) and missing.code == 404
+
+
+class TestDuplicateRequestId:
+    """A GenerateOp reusing a live request id gets one 409 for that id; the
+    live stream, its admission slot and the connection are untouched."""
+
+    @pytest.mark.parametrize("backend", ["sim", "functional"])
+    def test_live_id_reuse_is_refused_with_409(self, backend):
+        from repro.serve.protocol import (
+            AcceptedFrame, EndFrame, TokenFrame, decode_frame, encode_frame,
+        )
+
+        op = GenerateOp(
+            request_id="dup", tenant="t", lora_id="lora-0",
+            prompt_len=8, response_len=12,
+        )
+
+        async def read_until_end(reader, rid, frames):
+            while True:
+                frame = decode_frame(await reader.readline())
+                frames.append(frame)
+                if isinstance(frame, EndFrame) and frame.request_id == rid:
+                    return
+
+        async def scenario():
+            if backend == "sim":
+                stack = build_sim_stack(warp=None)
+                controller = stack.bridge.gateway.controller
+            else:
+                stack = build_functional_stack(seed=SEED)
+                controller = stack.bridge.controller
+            await stack.server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", stack.server.port
+                )
+                # Both ops in one write: the server reads the second while
+                # the first stream is certainly still open.
+                writer.write(encode_frame(op) + encode_frame(op))
+                await writer.drain()
+                frames = []
+                await read_until_end(reader, "dup", frames)
+                inflight_after_first = controller.total_inflight
+                # The connection still serves new streams.
+                writer.write(encode_frame(GenerateOp(
+                    request_id="next", tenant="t", lora_id="lora-0",
+                    prompt_len=8, response_len=4,
+                )))
+                await writer.drain()
+                later = []
+                await read_until_end(reader, "next", later)
+                writer.close()
+                await writer.wait_closed()
+                return frames, later, inflight_after_first, controller
+            finally:
+                await stack.server.stop()
+
+        frames, later, inflight_after_first, controller = run(
+            asyncio.wait_for(scenario(), timeout=60)
+        )
+        accepted = [f for f in frames if isinstance(f, AcceptedFrame)]
+        errors = [f for f in frames if isinstance(f, ErrorFrame)]
+        tokens = [f for f in frames if isinstance(f, TokenFrame)]
+        assert [f.request_id for f in accepted] == ["dup"]
+        assert [(f.request_id, f.code) for f in errors] == [("dup", 409)]
+        assert [f.index for f in tokens] == list(range(op.response_len))
+        assert frames[-1].status == "finished"
+        assert frames[-1].num_tokens == op.response_len
+        # The refused op took no slot: the one stream released the only one.
+        assert inflight_after_first == 0
+        assert isinstance(later[0], AcceptedFrame)
+        assert later[-1].status == "finished"
+        assert controller.total_inflight == 0
+
+    @pytest.mark.parametrize("backend,reused", [("sim", False), ("functional", True)])
+    def test_finished_id_reuse_per_bridge(self, backend, reused):
+        """The simulator stack's ids are single-use (a finished id still gets
+        409); the functional bridge takes only live ids, so it serves a
+        finished id again."""
+        from repro.serve.protocol import EndFrame, decode_frame, encode_frame
+
+        op = GenerateOp(
+            request_id="once", tenant="t", lora_id="lora-0",
+            prompt_len=8, response_len=4,
+        )
+
+        async def scenario():
+            if backend == "sim":
+                stack = build_sim_stack(warp=None)
+            else:
+                stack = build_functional_stack(seed=SEED)
+            await stack.server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", stack.server.port
+                )
+                writer.write(encode_frame(op))
+                await writer.drain()
+                while not isinstance(decode_frame(await reader.readline()), EndFrame):
+                    pass
+                writer.write(encode_frame(op))
+                await writer.drain()
+                second = decode_frame(await reader.readline())
+                while not isinstance(second, (EndFrame, ErrorFrame)):
+                    second = decode_frame(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                return second
+            finally:
+                await stack.server.stop()
+
+        second = run(asyncio.wait_for(scenario(), timeout=60))
+        if reused:
+            assert isinstance(second, EndFrame) and second.status == "finished"
+        else:
+            assert isinstance(second, ErrorFrame) and second.code == 409
