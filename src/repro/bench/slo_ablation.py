@@ -8,11 +8,12 @@ prefill-heavy open-loop trace:
 * **hetero** — one H100 + one A100-80G + four L4s: the same spend split
   into one fast prefill engine and a fleet of cheap decode engines.
 
-Each fleet runs under two routers: the baseline FCFS pack rule
-(:class:`~repro.cluster.simulator.ClusterSimulator`) and the SLO-aware
-control plane (:class:`~repro.cluster.control.SloClusterSimulator`),
-which places by modelled deadline headroom and sheds requests no engine
-can serve in time. All four cells are scored against the *same*
+Each fleet runs under two routers of
+:class:`~repro.cluster.simulator.ClusterSimulator`: the baseline FCFS
+pack rule and, with ``control=``, the SLO-aware
+:class:`~repro.cluster.control.SloRouter`, which places by modelled
+deadline headroom and sheds requests no engine can serve in time. All
+four cells are scored against the *same*
 :class:`~repro.cluster.control.ControlConfig` deadlines, so attainment
 is comparable; a shed counts as a miss, so the router cannot buy
 attainment by refusing work.
@@ -28,12 +29,7 @@ from __future__ import annotations
 
 from repro.bench.disagg_ablation import percentile
 from repro.bench.reporting import FigureTable
-from repro.cluster.control import (
-    ControlConfig,
-    SloClusterSimulator,
-    SloPolicy,
-    score_requests,
-)
+from repro.cluster.control import ControlConfig, SloPolicy, score_requests
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B
@@ -91,11 +87,9 @@ def fleet_cost(presets: "tuple[str, ...]") -> float:
 def run_cell(
     seed: int, presets: "tuple[str, ...]", router: str, control: ControlConfig
 ) -> SimulationResult:
-    engines = build_fleet(presets)
-    if router == "slo":
-        sim = SloClusterSimulator(engines, control=control)
-    else:
-        sim = ClusterSimulator(engines)
+    sim = ClusterSimulator(
+        build_fleet(presets), control=control if router == "slo" else None
+    )
     return sim.run(_trace(seed))
 
 

@@ -12,31 +12,29 @@ Three threads share one cost model (:mod:`repro.cluster.control.costmodel`):
    each candidate engine with its own spec, so prefill-heavy work lands
    on high-FLOPs parts and long-decode work on high-bandwidth parts
    without any per-device special cases in the router.
-3. **Predictive autoscaling** (:class:`PredictiveElasticSimulator`) —
-   EWMA arrival-rate forecasting drives warm-up-cost-aware grow/shrink
-   of the pool, extending :mod:`repro.cluster.elastic`.
+3. **Predictive autoscaling** (:class:`PredictiveConfig`) — EWMA
+   arrival-rate forecasting drives warm-up-cost-aware grow/shrink of the
+   pool of :class:`~repro.cluster.elastic.ElasticClusterSimulator`.
 
 See docs/slo.md for the cost model, deadline semantics and autoscaler
-policy. The control plane is strictly opt-in: no existing simulator
-constructs any of these classes, so every pre-existing golden trace is
-byte-identical with this package present.
+policy. The control plane is opt-in per simulator: every simulator takes
+``control=`` (a :class:`ControlConfig` builds the :class:`SloRouter` in
+place of the pack-rule scheduler and scores SLO outcomes at run end), and
+the elastic simulator takes ``predictive=``. Left at ``None`` they build
+the stock §5.1 policies. This package imports no simulator, so the
+simulators can import the router.
 """
 
-from repro.cluster.control.autoscaler import (
+from repro.cluster.control.config import (
+    ControlConfig,
     EwmaForecast,
     PredictiveConfig,
-    PredictiveElasticSimulator,
-)
-from repro.cluster.control.config import ControlConfig, SloPolicy
-from repro.cluster.control.costmodel import FleetCostModel, LatencyEstimate
-from repro.cluster.control.router import SloRouter
-from repro.cluster.control.simulator import (
-    SloClusterSimulator,
-    SloDisaggSimulator,
-    install_slo_router,
+    SloPolicy,
     score_requests,
     slo_attainment,
 )
+from repro.cluster.control.costmodel import FleetCostModel, LatencyEstimate
+from repro.cluster.control.router import SloRouter
 
 __all__ = [
     "ControlConfig",
@@ -44,12 +42,8 @@ __all__ = [
     "FleetCostModel",
     "LatencyEstimate",
     "PredictiveConfig",
-    "PredictiveElasticSimulator",
-    "SloClusterSimulator",
-    "SloDisaggSimulator",
     "SloPolicy",
     "SloRouter",
-    "install_slo_router",
     "score_requests",
     "slo_attainment",
 ]

@@ -14,7 +14,8 @@ deadline-headroom placement over the shared
 * **Queueing** is earliest-deadline-first with no head blocking: any
   queued request that fits is placed on a drain pass, and a queued
   request whose remaining budget falls below the fleet's optimistic
-  floor is shed instead of waiting for a miss.
+  floor is shed instead of waiting for a miss. The disaggregated decode
+  queue drains the same way, shedding waiters past their deadline.
 * **Shedding** happens only on provable hopelessness: no engine in the
   pool could meet the deadline even solo on an empty batch. The shed is
   surfaced as an SLO_SHED trace event plus the standard FAILED terminal
@@ -47,15 +48,14 @@ class SloRouter(PunicaScheduler):
         prefetcher=None,
         tracer: "Tracer | None" = None,
         control: "ControlConfig | None" = None,
-        cost: "FleetCostModel | None" = None,
         metrics=None,
     ):
         super().__init__(engines, config, prefetcher, tracer=tracer)
         self.control = control or ControlConfig()
-        self.cost = cost or FleetCostModel(self.control)
+        self.cost = FleetCostModel(self.control)
         self.metrics = metrics
         """Optional :class:`~repro.cluster.metrics.ClusterMetrics` fed the
-        SLO admit/shed series (the simulator install wires this)."""
+        SLO admit/shed series (the owning simulator passes its own)."""
         self.on_shed = None
         """``(request, now) -> None`` terminal-shed callback; the owning
         simulator points this at its ``_shed`` path so refused requests
@@ -167,6 +167,42 @@ class SloRouter(PunicaScheduler):
         self._queue = keep
         heapq.heapify(self._queue)
         return placed
+
+    def drain_decode_queue(
+        self, queue: "list[tuple[float, int, Request, int]]", now: float
+    ) -> "list[tuple[str, str | None]]":
+        """EDF decode admission with no head blocking: waiting KV handoffs
+        admit earliest-deadline-first, and a waiter whose TTFT deadline
+        has already passed is shed (decode GPU ``None``) instead of
+        occupying decode capacity it can no longer use."""
+        handled: "list[tuple[str, str | None]]" = []
+        keep: "list[tuple[float, int, Request, int]]" = []
+        for entry in sorted(
+            queue, key=lambda e: (self._deadline(e[2]), e[0], e[1])
+        ):
+            _, _, request, kv_tokens = entry
+            if request.state.is_terminal:
+                continue
+            # Shed only waiters still owed their first token: a request
+            # whose TTFT already landed (handoff after a mid-decode
+            # migration) keeps its place however late the clock runs.
+            if (
+                self.control.shed_infeasible
+                and request.first_token_time is None
+                and now > self._deadline(request)
+            ):
+                self._shed_slo(request, now)
+                handled.append((request.request_id, None))
+                continue
+            gpu = self.route_decode(request, kv_tokens)
+            if gpu is None:
+                keep.append(entry)
+                continue
+            self.engines[gpu].import_request(request, kv_tokens, now)
+            handled.append((request.request_id, gpu))
+        queue[:] = keep
+        heapq.heapify(queue)
+        return handled
 
     def route_decode(self, request: Request, kv_tokens: int) -> "str | None":
         """ITL-fitness-first decode admission: the engine whose predicted

@@ -14,7 +14,10 @@ request lifecycle (InfiniLoRA-style):
 3. **Decode admission** — on arrival the request is admitted onto the
    decode GPU with the best adapter locality (CaraServe-style, reusing
    the adapter store's residency tiers); if none can admit it, it waits
-   FCFS in a decode queue drained as decode capacity frees up.
+   in a decode queue drained as decode capacity frees up. Under
+   ``control=`` the SLO router admits by ITL headroom instead and drains
+   the queue earliest-deadline-first, shedding waiters whose TTFT
+   deadline has passed.
 
 Backpressure falls back to colocated mode: when the decode pool is
 saturated (queue + in-flight transfers at the configured bound) or gone,
@@ -66,12 +69,12 @@ class DisaggSimulator(ClusterSimulator):
         decode_engines: "list",
         config: DisaggConfig | None = None,
         scheduler_config=None,
-        registry=None,
-        prefetcher=None,
-        fault_injector=None,
-        tracer=None,
-        fast_path: bool | None = None,
+        **kwargs,
     ):
+        """The remaining keyword arguments (``registry``, ``prefetcher``,
+        ``fault_injector``, ``tracer``, ``fast_path``, ``control``) are
+        :class:`~repro.cluster.simulator.ClusterSimulator`'s; the router
+        ``control`` picks also sets the decode queue's discipline."""
         if not prefill_engines:
             raise ValueError("disaggregated serving needs at least one prefill engine")
         if not decode_engines:
@@ -94,21 +97,13 @@ class DisaggSimulator(ClusterSimulator):
         # re-prefills work that was about to be handed off anyway.
         if scheduler_config is None:
             scheduler_config = SchedulerConfig(consolidation=False)
-        super().__init__(
-            engines,
-            scheduler_config=scheduler_config,
-            registry=registry,
-            prefetcher=prefetcher,
-            fault_injector=fault_injector,
-            tracer=tracer,
-            fast_path=fast_path,
-        )
+        super().__init__(engines, scheduler_config=scheduler_config, **kwargs)
         self.config = config or DisaggConfig()
         self._step_hook = self._on_step
         self._transfers: "dict[str, _Transfer]" = {}
         self._decode_queue: "list[tuple[float, int, Request, int]]" = []
-        """FCFS by handoff completion time: (ready time, seq, request,
-        kv tokens). Head-blocking like the scheduler's main queue."""
+        """Heap by handoff completion time: (ready time, seq, request, kv
+        tokens). The router drains it in its own discipline."""
         self._decode_seq = 0
         self._colocated: "set[str]" = set()
         """Requests decoding on their prefill GPU (backpressure fallback);
@@ -179,7 +174,7 @@ class DisaggSimulator(ClusterSimulator):
                     continue
                 self._start_transfer(engine, rid, end)
         elif report.finished or report.evicted:
-            # Decode capacity freed: admit waiting handoffs FCFS.
+            # Decode capacity freed: admit waiting handoffs.
             self._drain_decode_queue(report.end)
 
     def _start_transfer(self, engine, request_id: str, now: float) -> None:
@@ -230,9 +225,10 @@ class DisaggSimulator(ClusterSimulator):
         return transfer_done
 
     def _drain_decode_queue(self, now: float) -> "list[str]":
-        """Admit waiting handoffs FCFS (head-blocking); returns the ids
-        that left the queue. With the decode pool gone entirely, waiters
-        fall back to the §5.3 re-prefill path instead of starving."""
+        """Admit waiting handoffs in the router's discipline; returns the
+        ids that left the queue. With the decode pool gone entirely,
+        waiters fall back to the §5.3 re-prefill path instead of
+        starving."""
         handled: "list[str]" = []
         if not self._decode_queue:
             return handled
@@ -252,18 +248,10 @@ class DisaggSimulator(ClusterSimulator):
             self._decode_queue.clear()
             self._replace_requests(victims, now)
             return handled
-        while self._decode_queue:
-            _, _, req, kv_tokens = self._decode_queue[0]
-            if req.state.is_terminal:
-                heapq.heappop(self._decode_queue)
-                continue
-            gpu = self.scheduler.route_decode(req, kv_tokens)
-            if gpu is None:
-                break
-            heapq.heappop(self._decode_queue)
-            self.scheduler.engines[gpu].import_request(req, kv_tokens, now)
-            handled.append(req.request_id)
-            self._kick(gpu, now)
+        for rid, gpu in self.scheduler.drain_decode_queue(self._decode_queue, now):
+            handled.append(rid)
+            if gpu is not None:
+                self._kick(gpu, now)
         return handled
 
     # ------------------------------------------------------------------

@@ -7,14 +7,26 @@ that actually grows and shrinks: scale-up requests take a provisioning
 delay to land; GPUs idle beyond a grace period are released. The headline
 metric is **GPU-seconds provisioned** — what a cloud tenant pays —
 compared against a statically sized pool.
+
+One autoscaler tick sizes the pool under one of two rules: the reactive
+§5.1 scaling hint (the default) or, with ``predictive=``, an EWMA
+forecast of the arrival rate. The forecast rule sizes the pool to
+``forecast * (1 + headroom) / service_rate_per_gpu``, grows by several
+GPUs in one tick when a burst lands, and releases an engine only once it
+has amortized its warm-up (held its lease for one provisioning delay).
+Its scale decisions emit SCALE_UP / SCALE_DOWN trace events carrying the
+forecast that drove them (docs/slo.md).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
+from repro.cluster.control.config import ControlConfig, EwmaForecast, PredictiveConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
+from repro.obs.tracer import EventKind
 from repro.workloads.trace import Trace
 
 
@@ -77,7 +89,13 @@ class ElasticResult:
 
 
 class ElasticClusterSimulator(ClusterSimulator):
-    """Cluster simulator whose GPU pool follows the §5.1 scaling hints."""
+    """Cluster simulator whose GPU pool follows an autoscaler.
+
+    ``predictive=None`` sizes the pool by the §5.1 scaling hints; a
+    :class:`~repro.cluster.control.PredictiveConfig` sizes it by an EWMA
+    arrival forecast. ``control`` picks the router as in
+    :class:`~repro.cluster.simulator.ClusterSimulator`.
+    """
 
     def __init__(
         self,
@@ -87,6 +105,8 @@ class ElasticClusterSimulator(ClusterSimulator):
         registry=None,
         tracer=None,
         fast_path: bool | None = None,
+        predictive: "PredictiveConfig | None" = None,
+        control: "ControlConfig | None" = None,
     ):
         self.elastic = elastic_config or ElasticConfig()
         self.engine_factory = engine_factory
@@ -98,11 +118,18 @@ class ElasticClusterSimulator(ClusterSimulator):
             registry=registry,
             tracer=tracer,
             fast_path=fast_path,
+            control=control,
         )
+        self.predictive = predictive
+        self._forecast = (
+            None if predictive is None else EwmaForecast(predictive.ewma_alpha)
+        )
+        self._arrivals_seen = 0
         self._leases: dict[str, GpuLease] = {
             e.gpu_id: GpuLease(gpu_id=e.gpu_id, start=0.0) for e in initial
         }
-        self._lease_log: list[GpuLease] = list(self._leases.values())
+        """Every lease of the run in provisioning order (GPU ids are never
+        recycled); a released GPU's lease stays with its end time set."""
         self._idle_since: dict[str, float] = {e.gpu_id: 0.0 for e in initial}
         self._provisioning = 0
         self._scale_ups = 0
@@ -110,31 +137,82 @@ class ElasticClusterSimulator(ClusterSimulator):
 
     # ------------------------------------------------------------------
     def run_elastic(self, trace: Trace, until: float | None = None) -> ElasticResult:
-        requests = self._start(trace)
-        self.loop.schedule(self.elastic.check_interval, self._autoscale_tick)
-        end = self.loop.run(until=until)
+        """:meth:`run` plus the lease accounting."""
         return ElasticResult(
-            base=self._result(requests, end),
-            leases=self._lease_log,
+            base=self.run(trace, until=until),
+            leases=list(self._leases.values()),
             scale_ups=self._scale_ups,
             releases=self._releases,
         )
+
+    def _start(self, trace: Trace) -> "list":
+        requests = super()._start(trace)
+        self.loop.schedule(self.elastic.check_interval, self._autoscale_tick)
+        return requests
 
     # ------------------------------------------------------------------
     def _pool_size(self) -> int:
         return len(self.scheduler.engines) + self._provisioning
 
     def _autoscale_tick(self, now: float) -> None:
-        hint = self.scheduler.scaling_hint()
-        if hint == "scale-up" and self._pool_size() < self.elastic.max_gpus:
-            self._provisioning += 1
-            self._scale_ups += 1
-            self.loop.schedule(now + self.elastic.provision_delay, self._activate_gpu)
-        elif hint == "scale-down":
-            self._release_idle(now)
+        """Size the pool, then grow or release toward that size.
+
+        The reactive rule (no forecast) keeps its original shape: no
+        warm-up veto, no SCALE_UP/SCALE_DOWN events, and it stops ticking
+        with the work. The forecast rule keeps ticking until the pool has
+        drained back to its floor — the shrink tail would otherwise freeze
+        at whatever size the last in-flight request left it.
+        """
+        pool = self._pool_size()
+        forecast = None
+        if self._forecast is None:
+            # §5.1: one more GPU on a scale-up hint, down to the floor on
+            # a scale-down hint.
+            desired = {
+                "scale-up": min(pool + 1, self.elastic.max_gpus),
+                "scale-down": self.elastic.min_gpus,
+            }.get(self.scheduler.scaling_hint(), pool)
+        else:
+            forecast, desired = self._forecast_size(pool)
+        if desired > pool:
+            if forecast is not None and self.tracer is not None:
+                self.tracer.emit(
+                    now, EventKind.SCALE_UP,
+                    forecast=round(forecast, 9), pool=pool, add=desired - pool,
+                )
+            for _ in range(desired - pool):
+                self._provisioning += 1
+                self._scale_ups += 1
+                self.loop.schedule(now + self.elastic.provision_delay, self._activate_gpu)
+        elif desired < len(self.scheduler.engines):
+            self._release_idle(now, desired, forecast)
         self._update_idle_marks(now)
-        if self.work_remaining() or self._provisioning > 0:
+        above_floor = len(self.scheduler.engines) > self.elastic.min_gpus
+        if (
+            self.work_remaining()
+            or self._provisioning > 0
+            or (forecast is not None and above_floor)
+        ):
             self.loop.schedule(now + self.elastic.check_interval, self._autoscale_tick)
+
+    def _forecast_size(self, pool: int) -> "tuple[float, int]":
+        """Fold this interval's arrival rate into the EWMA and size the
+        pool to cover it with headroom."""
+        cfg = self.predictive
+        total = len(self.metrics.arrivals)
+        sample = (total - self._arrivals_seen) / self.elastic.check_interval
+        self._arrivals_seen = total
+        forecast = self._forecast.update(sample)
+        demand = forecast * (1.0 + cfg.headroom_fraction)
+        desired = max(
+            self.elastic.min_gpus,
+            min(self.elastic.max_gpus, math.ceil(demand / cfg.service_rate_per_gpu)),
+        )
+        # A standing queue means the forecast under-calls actual service
+        # cost; never size below what the reactive hint would demand.
+        if self.scheduler.queue_depth > 0 and desired <= pool < self.elastic.max_gpus:
+            desired = pool + 1
+        return forecast, desired
 
     def _update_idle_marks(self, now: float) -> None:
         for gid, engine in self.scheduler.engines.items():
@@ -148,38 +226,47 @@ class ElasticClusterSimulator(ClusterSimulator):
         gpu_id = f"gpu{self._next_gpu_index:02d}"
         self._next_gpu_index += 1
         engine = self.engine_factory(gpu_id)
-        if self.tracer is not None:
-            # Engines provisioned mid-run need the same tracer threading
-            # the initial pool got in ClusterSimulator.__init__.
-            if hasattr(engine, "tracer"):
-                engine.tracer = self.tracer
-            store = getattr(getattr(engine, "loader", None), "store", None)
-            if store is not None:
-                store.tracer = self.tracer
+        self._wire_tracer(engine)
         self.scheduler.add_engine(engine)
         self._gpu_busy[gpu_id] = False
-        lease = GpuLease(gpu_id=gpu_id, start=now)
-        self._leases[gpu_id] = lease
-        self._lease_log.append(lease)
+        self._leases[gpu_id] = GpuLease(gpu_id=gpu_id, start=now)
         self._idle_since[gpu_id] = now
         placed = self.scheduler.drain_queue(now)
         for gid in set(placed):
             self._kick(gid, now)
 
-    def _release_idle(self, now: float) -> None:
+    def _release_idle(
+        self, now: float, desired: int, forecast: "float | None" = None
+    ) -> None:
+        """Shrink toward ``desired`` (never below ``min_gpus``), releasing
+        only engines idle past the grace period. Under the forecast rule
+        an engine must also have amortized its warm-up: held its lease for
+        at least one provisioning delay."""
+        floor = max(self.elastic.min_gpus, desired)
         for gid in list(self.scheduler.engines):
-            if len(self.scheduler.engines) <= self.elastic.min_gpus:
+            pool = len(self.scheduler.engines)
+            if pool <= floor:
                 break
             engine = self.scheduler.engines[gid]
             idle_since = self._idle_since.get(gid)
+            lease = self._leases[gid]
             if (
-                engine.is_idle
-                and idle_since is not None
-                and now - idle_since >= self.elastic.release_idle_after
+                not engine.is_idle
+                or idle_since is None
+                or now - idle_since < self.elastic.release_idle_after
+                or (
+                    forecast is not None
+                    and now - lease.start < self.elastic.provision_delay
+                )
             ):
-                self.scheduler.remove_engine(gid)
-                self._gpu_busy.pop(gid, None)
-                self._idle_since.pop(gid, None)
-                self._leases[gid].end = now
-                del self._leases[gid]
-                self._releases += 1
+                continue
+            self._collect_adapter_events(self.scheduler.remove_engine(gid))
+            self._gpu_busy.pop(gid, None)
+            self._idle_since.pop(gid, None)
+            lease.end = now
+            self._releases += 1
+            if forecast is not None and self.tracer is not None:
+                self.tracer.emit(
+                    now, EventKind.SCALE_DOWN, gpu_id=gid,
+                    forecast=round(forecast, 9), pool=pool,
+                )

@@ -70,9 +70,11 @@ class TimeSeries:
         """Insert a sample keeping time order.
 
         The SLO router records at two interleaved clocks: loop events,
-        and step-completion times the fast path's inline coalescing runs
-        ahead of the loop. The occasional out-of-order sample pays an
-        O(n) shift; ties keep insertion order so replays stay stable.
+        and step-completion times, which run ahead of the loop (a step's
+        finish handling drains the queues at its end time, and the fast
+        path's inline coalescing runs whole steps early). The occasional
+        out-of-order sample pays an O(n) shift; ties keep insertion order
+        so replays stay stable.
         """
         n = self._n
         if not n or t >= self._times[n - 1]:
@@ -318,7 +320,8 @@ class ClusterMetrics:
         ).inc()
 
     def record_shed(self, t: float) -> None:
-        self.sheds.record(t, 1.0)
+        # The SLO router sheds at either clock (see record_unordered).
+        self.sheds.record_unordered(t, 1.0)
         self.registry.counter(
             "sheds_total", "requests shed with a FAILED terminal state"
         ).inc()

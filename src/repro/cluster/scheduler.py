@@ -69,11 +69,11 @@ class PunicaScheduler:
         self.engines = {e.gpu_id: e for e in engines}
         self.config = config or SchedulerConfig()
         self.prefetcher = prefetcher
+        """Optional :class:`~repro.adapters.prefetch.Prefetcher` that gets
+        routing hints (queued requests' adapters are staged host-side)."""
         self.tracer = tracer
         """Optional :class:`~repro.obs.tracer.Tracer` receiving QUEUE and
         MIGRATE events (engines emit their own PLACE/step events)."""
-        """Optional :class:`~repro.adapters.prefetch.Prefetcher` that gets
-        routing hints (queued requests' adapters are staged host-side)."""
         self._queue: list[tuple[float, int, Request]] = []
         self._queue_seq = 0
         self.num_migrations = 0
@@ -247,6 +247,27 @@ class PunicaScheduler:
             self.engines[gpu].add_request(request, now)
             placed.append(gpu)
         return placed
+
+    def drain_decode_queue(
+        self, queue: "list[tuple[float, int, Request, int]]", now: float
+    ) -> "list[tuple[str, str | None]]":
+        """Admit waiting KV handoffs FCFS; head blocks. ``queue`` is the
+        disaggregated simulator's heap of (ready time, seq, request, kv
+        tokens), drained in place; returns (request id, decode GPU) per
+        request that left it."""
+        handled: "list[tuple[str, str | None]]" = []
+        while queue:
+            _, _, request, kv_tokens = queue[0]
+            if request.state.is_terminal:
+                heapq.heappop(queue)
+                continue
+            gpu = self.route_decode(request, kv_tokens)
+            if gpu is None:
+                break
+            heapq.heappop(queue)
+            self.engines[gpu].import_request(request, kv_tokens, now)
+            handled.append((request.request_id, gpu))
+        return handled
 
     # ------------------------------------------------------------------
     def handle_evictions(self, request_ids: "list[str]", requests, now: float) -> None:

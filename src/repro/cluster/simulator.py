@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.control.config import ControlConfig, score_requests
+from repro.cluster.control.router import SloRouter
 from repro.cluster.events import EventLoop
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
@@ -85,6 +87,7 @@ class ClusterSimulator:
         fault_injector: "FaultInjector | None" = None,
         tracer: "Tracer | None" = None,
         fast_path: bool | None = None,
+        control: "ControlConfig | None" = None,
     ):
         """``registry`` (an :class:`~repro.adapters.registry.AdapterRegistry`)
         receives per-adapter arrival feeds for popularity EWMAs;
@@ -94,25 +97,38 @@ class ClusterSimulator:
         schedules deterministic faults the simulator applies and recovers
         from; ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is threaded
         through the scheduler, engines, adapter stores and injector so the
-        whole run emits one request-level event stream."""
-        self.scheduler = PunicaScheduler(engines, scheduler_config, prefetcher,
-                                         tracer=tracer)
+        whole run emits one request-level event stream.
+
+        ``control`` picks the router: ``None`` builds Punica's pack-rule
+        :class:`~repro.cluster.scheduler.PunicaScheduler`; a
+        :class:`~repro.cluster.control.ControlConfig` builds the
+        deadline-headroom :class:`~repro.cluster.control.SloRouter`, whose
+        sheds take this simulator's FAILED path, and :meth:`run` scores
+        every request's SLO outcome into the metrics (docs/slo.md)."""
+        self.metrics = ClusterMetrics()
+        self.control = control
+        if control is None:
+            self.scheduler = PunicaScheduler(
+                engines, scheduler_config, prefetcher, tracer=tracer
+            )
+        else:
+            self.scheduler = SloRouter(
+                engines, scheduler_config, prefetcher, tracer=tracer,
+                control=control, metrics=self.metrics,
+            )
+            self.scheduler.on_shed = lambda req, now: self._shed(
+                req, now, "shed: deadline infeasible"
+            )
         self.fast_path = fastpath_enabled(fast_path)
         self.loop = EventLoop()
-        self.metrics = ClusterMetrics()
         self.registry = registry
         self.prefetcher = prefetcher
         self.fault_injector = fault_injector
         self.tracer = tracer
-        if tracer is not None:
-            for engine in self.scheduler.engines.values():
-                if hasattr(engine, "tracer"):
-                    engine.tracer = tracer
-                store = getattr(getattr(engine, "loader", None), "store", None)
-                if store is not None:
-                    store.tracer = tracer
-            if fault_injector is not None:
-                fault_injector.tracer = tracer
+        for engine in self.scheduler.engines.values():
+            self._wire_tracer(engine)
+        if tracer is not None and fault_injector is not None:
+            fault_injector.tracer = tracer
         if prefetcher is not None:
             prefetcher.attach(
                 {
@@ -131,6 +147,9 @@ class ClusterSimulator:
         through the heap (diagnostic only — kept out of the metrics
         registry so differential runs compare equal)."""
         self._pending_arrivals = 0
+        self._adapter_events: list = []
+        """Adapter events collected from engine logs and not yet folded
+        into the metrics (see :meth:`_collect_adapter_events`)."""
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
         self._step_hook = None
@@ -149,7 +168,21 @@ class ClusterSimulator:
         requests = self._start(trace)
         end = self.loop.run(until=until)
         self._drain_adapter_events()
+        if self.control is not None:
+            for t, attained in score_requests(requests, self.control, end):
+                self.metrics.record_slo_outcome(t, attained)
         return self._result(requests, end)
+
+    def _wire_tracer(self, engine) -> None:
+        """Thread the run's tracer into an engine and its adapter store
+        (the initial pool and every engine provisioned mid-run)."""
+        if self.tracer is None:
+            return
+        if hasattr(engine, "tracer"):
+            engine.tracer = self.tracer
+        store = getattr(getattr(engine, "loader", None), "store", None)
+        if store is not None:
+            store.tracer = self.tracer
 
     def _start(self, trace: Trace) -> "list[Request]":
         """Arm a run: the trace-arrival cursor, then the periodic timers.
@@ -279,14 +312,22 @@ class ClusterSimulator:
             )
 
     def _drain_adapter_events(self) -> None:
-        """Fold every engine loader's adapter event log into the metrics."""
-        events = []
+        """Fold every adapter event log — the live pool's and those of
+        engines that already left it — into the metrics."""
         for engine in self.scheduler.engines.values():
-            drain = getattr(getattr(engine, "loader", None), "drain_events", None)
-            if drain is not None:
-                events.extend(drain())
-        if events:
-            self.metrics.ingest_adapter_events(events)
+            self._collect_adapter_events(engine)
+        if self._adapter_events:
+            self.metrics.ingest_adapter_events(self._adapter_events)
+            self._adapter_events = []
+
+    def _collect_adapter_events(self, engine) -> None:
+        """Take an engine's adapter event log: at run end, or when the
+        engine leaves the pool (released or crashed) and would take its
+        log with it. The fold waits for run end, where the metrics sort
+        every engine's events into one time-ordered series."""
+        drain = getattr(getattr(engine, "loader", None), "drain_events", None)
+        if drain is not None:
+            self._adapter_events.extend(drain())
 
     def _migration_tick(self, now: float) -> None:
         moved = self.scheduler.consolidate(now)
@@ -397,6 +438,7 @@ class ClusterSimulator:
                 return gpu_id, False
             self.metrics.record_fault(now)
             displaced = self.scheduler.fail_engine(gpu_id, now)
+            self._collect_adapter_events(engine)
             self._gpu_busy.pop(gpu_id, None)
             self._replace_requests(displaced, now)
             return gpu_id, True

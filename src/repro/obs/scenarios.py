@@ -269,10 +269,8 @@ def run_slo(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     budget drops below the optimistic floor are refused (SLO_SHED +
     SHED), and the drain tail releases the pool back to its floor
     (SCALE_DOWN)."""
-    from repro.cluster.control import (
-        ControlConfig, PredictiveConfig, PredictiveElasticSimulator, SloPolicy,
-    )
-    from repro.cluster.elastic import ElasticConfig
+    from repro.cluster.control import ControlConfig, PredictiveConfig, SloPolicy
+    from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig
     from repro.hw.spec import HwSpec
 
     presets = ("a100-80g", "l4", "a100-80g")
@@ -289,7 +287,7 @@ def run_slo(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
 
     trace = _open_loop(seed, rate=10.0, duration=3.0)
     tracer = Tracer()
-    sim = PredictiveElasticSimulator(
+    sim = ElasticClusterSimulator(
         factory,
         elastic_config=ElasticConfig(
             min_gpus=1, max_gpus=3, provision_delay=0.8,

@@ -3,8 +3,9 @@
 Covers the three threads over the shared cost model: deadline-headroom
 admission/routing (with provable-hopelessness shedding), heterogeneous
 per-role fitness on mixed HwSpec fleets, and the EWMA predictive
-autoscaler with its warm-up-aware shrink. The disaggregated variant's
-EDF decode queue and its shed guard round out the matrix.
+autoscaler with its warm-up-aware shrink. The router's EDF decode queue
+under disaggregation, its shed guard, and the router slot composed with
+every simulator round out the matrix.
 """
 
 import types
@@ -16,16 +17,13 @@ from repro.cluster.control import (
     EwmaForecast,
     FleetCostModel,
     PredictiveConfig,
-    PredictiveElasticSimulator,
-    SloClusterSimulator,
-    SloDisaggSimulator,
     SloPolicy,
     SloRouter,
-    install_slo_router,
     score_requests,
     slo_attainment,
 )
-from repro.cluster.elastic import ElasticConfig
+from repro.cluster.disagg import DisaggSimulator
+from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B
@@ -246,21 +244,13 @@ class TestSloRouter:
         assert req.state is not RequestState.FAILED
         assert router.queue_depth == 1
 
-    def test_install_guard_rejects_live_queues(self):
-        sim = ClusterSimulator([make_engine("g", max_batch=1)])
-        sim.scheduler.engines["g"].add_request(make_request("hog"), 0.0)
-        sim.scheduler.submit(make_request("r"), 0.0)
-        assert sim.scheduler.queue_depth == 1
-        with pytest.raises(RuntimeError, match="before submitting"):
-            install_slo_router(sim)
 
-
-class TestSloClusterSimulator:
+class TestSloCluster:
     def test_attainment_recorded_and_matches_helper(self):
         control = ControlConfig(
             default_policy=SloPolicy(ttft_deadline=1.0, itl_deadline=0.25)
         )
-        sim = SloClusterSimulator(
+        sim = ClusterSimulator(
             [make_engine(f"g{i}") for i in range(2)], control=control
         )
         result = sim.run(make_trace())
@@ -277,9 +267,10 @@ class TestSloClusterSimulator:
     def test_deterministic(self):
         def run():
             tracer = Tracer()
-            sim = SloClusterSimulator(
+            sim = ClusterSimulator(
                 [make_engine(f"g{i}", step_overhead=0.01) for i in range(2)],
                 tracer=tracer,
+                control=ControlConfig(),
             )
             sim.run(make_trace(rate=12.0))
             return tracer.dumps_jsonl()
@@ -301,7 +292,7 @@ class TestPredictiveAutoscaler:
             release_idle_after=0.5, check_interval=0.5,
         )
         defaults.update(cfg)
-        return PredictiveElasticSimulator(
+        return ElasticClusterSimulator(
             lambda gid: make_engine(gid, max_batch=4),
             elastic_config=ElasticConfig(**defaults),
             predictive=PredictiveConfig(service_rate_per_gpu=2.0),
@@ -359,7 +350,7 @@ class TestSloDisagg:
         control = ControlConfig(
             default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
         )
-        sim = SloDisaggSimulator(
+        sim = DisaggSimulator(
             [make_engine("p0")], [make_engine("d0")],
             control=control,
             config=DisaggConfig(interconnect=slow_wire),
@@ -382,7 +373,7 @@ class TestSloDisagg:
         control = ControlConfig(
             default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
         )
-        sim = SloDisaggSimulator(
+        sim = DisaggSimulator(
             [make_engine("p0")], [make_engine("d0")], control=control
         )
         # Simulate a re-transfer after a mid-decode migration: the waiter
@@ -398,10 +389,33 @@ class TestSloDisagg:
         assert req.state is not RequestState.FAILED
         assert sim.scheduler.engines["d0"].has_request("r")
 
+    def test_sheds_at_step_end_and_loop_clocks_interleave(self):
+        from repro.cluster.disagg import DisaggConfig
+
+        # A decode step's finish handling drains the decode queue at the
+        # step's end time, ahead of the loop clock, so a handoff landing
+        # later in loop order can shed at an earlier time. The run must
+        # complete with one time-ordered shed sample per FAILED request.
+        sim = DisaggSimulator(
+            [make_engine("p0", max_batch=3, step_overhead=0.05)],
+            [make_engine("d0", max_batch=3, step_overhead=0.05)],
+            control=ControlConfig(
+                default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
+            ),
+            config=DisaggConfig(decode_queue_limit=2),
+        )
+        result = sim.run(make_trace(seed=2, rate=14.0, duration=2.0))
+        assert all(r.state.is_terminal for r in result.requests)
+        failed = [r for r in result.requests if r.state is RequestState.FAILED]
+        assert failed
+        assert len(sim.metrics.sheds) == len(failed)
+        times = list(sim.metrics.sheds.times)
+        assert times == sorted(times)
+
     def test_deterministic(self):
         def run():
             tracer = Tracer()
-            sim = SloDisaggSimulator(
+            sim = DisaggSimulator(
                 [make_engine("p0"), make_engine("p1")],
                 [make_engine("d0"), make_engine("d1")],
                 control=ControlConfig(
@@ -415,3 +429,46 @@ class TestSloDisagg:
             return tracer.dumps_jsonl()
 
         assert run() == run()
+
+
+@pytest.mark.parametrize("router", ["pack", "slo"])
+@pytest.mark.parametrize("sizing", ["reactive", "predictive"])
+def test_elastic_composes_with_either_router_and_sizing_rule(router, sizing):
+    """Any router over either pool-sizing rule: every request ends
+    terminal, tokens match the finished requests' response lengths, and
+    a rerun replays the same trace. The slowed engines push the SLO
+    router into shedding on part of the grid."""
+
+    def run():
+        tracer = Tracer()
+        sim = ElasticClusterSimulator(
+            lambda gid: make_engine(gid, max_batch=4, step_overhead=0.1),
+            elastic_config=ElasticConfig(
+                min_gpus=1, max_gpus=3, provision_delay=0.5,
+                release_idle_after=0.5, check_interval=0.25,
+            ),
+            tracer=tracer,
+            predictive=(
+                PredictiveConfig(service_rate_per_gpu=4.0)
+                if sizing == "predictive" else None
+            ),
+            control=(
+                ControlConfig(
+                    default_policy=SloPolicy(ttft_deadline=0.6, itl_deadline=0.25)
+                )
+                if router == "slo" else None
+            ),
+        )
+        return sim.run_elastic(make_trace(rate=10.0, duration=3.0)), tracer
+
+    result, tracer = run()
+    assert result.scale_ups > 0
+    states = {r.state for r in result.base.requests}
+    assert states <= {RequestState.FINISHED, RequestState.FAILED}
+    finished = [
+        r for r in result.base.requests if r.state is RequestState.FINISHED
+    ]
+    assert result.base.tokens_generated == sum(
+        r.spec.response_len for r in finished
+    )
+    assert run()[1].dumps_jsonl() == tracer.dumps_jsonl()

@@ -10,6 +10,7 @@ event lands inside it deterministically.
 
 import pytest
 
+from repro.cluster.control import ControlConfig, SloRouter
 from repro.cluster.disagg import INTERCONNECTS, DisaggConfig, DisaggSimulator
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
@@ -155,6 +156,27 @@ class TestRoleAwareConsolidation:
         sim._colocated.add("req-x")
         sim._on_migrate(self._request("req-x"), "p0", "p1")
         assert "req-x" not in sim._colocated
+
+    def test_slo_router_consolidation_clears_colocation(self):
+        # The SLO router is built in __init__, so it carries the
+        # colocation hook like the pack-rule scheduler does.
+        sim = DisaggSimulator(
+            [make_engine("p0"), make_engine("p1")], [make_engine("d0")],
+            scheduler_config=SchedulerConfig(consolidation=True),
+            control=ControlConfig(),
+        )
+        sched = sim.scheduler
+        assert isinstance(sched, SloRouter)
+        assert sched.migration_hook == sim._on_migrate
+        # A backpressure-colocated request on the lighter prefill GPU...
+        sched.engines["p0"].add_request(self._request("mover"), 0.0)
+        sim._colocated.add("mover")
+        for i in range(2):
+            sched.engines["p1"].add_request(self._request(f"p{i}"), 0.0)
+        assert sched.consolidate(0.0) == 1
+        assert sched.engines["p1"].has_request("mover")
+        # ...re-prefills on its target and is eligible for export again.
+        assert "mover" not in sim._colocated
 
 
 class TestTwoStageLifecycle:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig, GpuLease
 from repro.cluster.scheduler import SchedulerConfig
 from repro.models.config import LLAMA2_7B
+from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
@@ -111,6 +112,42 @@ class TestElasticSimulation:
         assert r1.scale_ups == r2.scale_ups
 
 
+class TestRunEntryPoint:
+    def test_run_arms_the_autoscaler(self):
+        sim = make_sim()
+        result = sim.run(ramp_trace())
+        assert sim._scale_ups > 0
+        assert len(sim._leases) > 1
+        assert all(r.state is RequestState.FINISHED for r in result.requests)
+
+    def test_adapter_loads_counted_across_every_engine_that_served(self):
+        # Loads logged by live engines and by engines released mid-run
+        # all reach the metrics; none stay behind on a live engine.
+        tracer = Tracer()
+        built = {}
+
+        def factory(gpu_id):
+            built[gpu_id] = engine_factory(gpu_id)
+            return built[gpu_id]
+
+        sim = ElasticClusterSimulator(
+            factory,
+            ElasticConfig(
+                min_gpus=1, max_gpus=6, provision_delay=5.0,
+                release_idle_after=10.0, check_interval=2.0,
+            ),
+            SchedulerConfig(migration_interval=5.0),
+            tracer=tracer,
+        )
+        result = sim.run_elastic(ramp_trace())
+        released = [l.gpu_id for l in result.leases if l.end is not None]
+        assert any(built[g].loader.store.resident_models() for g in released)
+        logged = tracer.by_kind(EventKind.ADAPTER_LOAD)
+        assert len(result.base.metrics.adapter_loads) == len(logged)
+        for engine in sim.scheduler.engines.values():
+            assert engine.loader.drain_events() == []
+
+
 class TestElasticEdgeCases:
     def test_shrink_never_releases_a_busy_engine(self):
         from repro.runtime.request import Request
@@ -126,7 +163,7 @@ class TestElasticEdgeCases:
         req = Request(spec=RequestSpec("r", "lora-0", 0.0, 8, 4))
         sim.scheduler.engines["gpu01"].add_request(req, 0.0)
         sim._idle_since["gpu01"] = 0.0
-        sim._release_idle(100.0)
+        sim._release_idle(100.0, sim.elastic.min_gpus)
         assert "gpu01" in sim.scheduler.engines, "released a busy engine"
         # The genuinely idle gpu00 was released (pool floor is 1).
         assert "gpu00" not in sim.scheduler.engines

@@ -16,6 +16,7 @@ from repro.cluster.frontend import Frontend
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.pcie import PcieSpec
 from repro.models.config import LLAMA2_7B
+from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.loader import LoraLoader
@@ -95,6 +96,20 @@ class TestCrashRecovery:
         assert a.tokens_generated == b.tokens_generated
         assert a.events_processed == b.events_processed
         assert [r.state for r in a.requests] == [r.state for r in b.requests]
+
+    def test_crashed_gpu_adapter_loads_are_counted(self, seed):
+        # The crashed engine leaves the pool with its adapter event log;
+        # its loads must still reach the metrics at run end.
+        tracer = Tracer()
+        engines = make_engines(4)
+        injector = FaultInjector.crash_at(10.0, seed=seed)
+        sim = ClusterSimulator(engines, fault_injector=injector, tracer=tracer)
+        result = sim.run(chaos_trace(seed))
+        crashed = [e for e in engines if e.gpu_id not in sim.scheduler.engines]
+        assert len(crashed) == 1
+        assert crashed[0].loader.store.resident_models()
+        logged = tracer.by_kind(EventKind.ADAPTER_LOAD)
+        assert len(result.metrics.adapter_loads) == len(logged)
 
 
 # ---------------------------------------------------------------------------

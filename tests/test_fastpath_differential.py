@@ -308,7 +308,9 @@ def _build_composed(
     serve_frontend,
     fast_path,
     spec=None,
+    router="pack",
 ):
+    from repro.cluster.control import ControlConfig
     from repro.cluster.disagg import DisaggConfig, DisaggSimulator
 
     trace = generate_trace(
@@ -319,6 +321,7 @@ def _build_composed(
         arrivals=PoissonArrivals(rate=constant_rate(rate), duration=duration),
     )
     injector = FaultInjector(fault_plan, seed=seed) if fault_plan else None
+    control = ControlConfig() if router == "slo" else None
 
     def engines(ids):
         return [
@@ -343,6 +346,7 @@ def _build_composed(
             fault_injector=injector,
             tracer=None,
             fast_path=fast_path,
+            control=control,
         )
     else:
         sim = ClusterSimulator(
@@ -351,6 +355,7 @@ def _build_composed(
             fault_injector=injector,
             tracer=None,
             fast_path=fast_path,
+            control=control,
         )
 
     if serve_frontend:
@@ -424,14 +429,15 @@ def _assert_composed_equivalent(fast, ref):
     ),
     fault_subset=st.sets(st.integers(min_value=0, max_value=2), max_size=3),
     spec=st.sampled_from(_SPEC_MENU),
+    router=st.sampled_from(["pack", "slo"]),
 )
 def test_composed_untraced_differential(
     seed, topology, serve_frontend, num_gpus, max_batch, rate, duration,
-    lora_rank, storm_picks, fault_subset, spec,
+    lora_rank, storm_picks, fault_subset, spec, router,
 ):
-    """Disagg pools x faults x cancellation storms x serve admission,
-    untraced: both paths must agree on every observable the run leaves
-    behind."""
+    """Disagg pools x faults x cancellation storms x serve admission x
+    router, untraced: both paths must agree on every observable the run
+    leaves behind."""
     fault_plan = [_FAULT_MENU[i] for i in sorted(fault_subset)]
     if num_gpus <= 2:
         # Disagg's decode pool (or a 2-GPU cluster) may not survive a
@@ -445,7 +451,7 @@ def test_composed_untraced_differential(
         seed=seed, topology=topology, num_gpus=num_gpus, max_batch=max_batch,
         rate=rate, duration=duration, lora_rank=lora_rank,
         storm_picks=storm_picks, fault_plan=fault_plan,
-        serve_frontend=serve_frontend, spec=spec,
+        serve_frontend=serve_frontend, spec=spec, router=router,
     )
     fast = _build_composed(fast_path=True, **kwargs)
     ref = _build_composed(fast_path=False, **kwargs)
